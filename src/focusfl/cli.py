@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from . import harness
 from .data import NoiseSpec
@@ -35,22 +35,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> Tuple[int, ...]:
-    if not raw:
-        return ()
-    return tuple(int(cell.strip()) for cell in raw.split(","))
-
-
-def _parse_float_list(raw: str) -> Tuple[float, ...]:
-    if not raw:
-        return ()
-    return tuple(float(cell.strip()) for cell in raw.split(","))
-
-
-def _parse_batch_size(raw: str):
-    return raw if raw == "full" else int(raw)
-
-
 def _parse_flip_map(raw: str) -> Dict[int, int]:
     mapping: Dict[int, int] = {}
     for pair in raw.split(","):
@@ -61,37 +45,41 @@ def _parse_flip_map(raw: str) -> Dict[int, int]:
     return mapping
 
 
-# Keys the config file accepts, with their value parsers.  Keys map 1:1 onto
-# ExperimentConfig fields except the noise_* group, which builds one NoiseSpec.
-_CONFIG_PARSERS = {
-    "num_classes": int,
-    "samples_per_class": int,
-    "dim": int,
-    "separation": float,
-    "dataset_file": str,
-    "num_clients": int,
-    "benchmark_fraction": float,
-    "test_fraction": float,
-    "client_proportions": _parse_float_list,
-    "hidden_dims": _parse_int_list,
-    "learning_rate": float,
-    "local_steps": int,
-    "batch_size": _parse_batch_size,
-    "aggregator": str,
-    "rounds": int,
-    "alpha": float,
-    "reduction": str,
-    "standardize_e": _parse_bool,
-    "participation_fraction": float,
-    "master_seed": int,
+def _parser_for(tp) -> Callable[[str], object]:
+    """Value parser for a config value of type ``tp``.
+
+    An empty value means ``None`` for an Optional type and ``()`` for a
+    tuple type; tuple items are comma-separated.
+    """
+    args = get_args(tp)
+    if get_origin(tp) is Union and type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        parse = _parser_for(inner)
+        return lambda raw: parse(raw) if raw else None
+    if get_origin(tp) is Union:  # batch_size: an integer or "full"
+        return lambda raw: raw if raw == "full" else int(raw)
+    if get_origin(tp) is tuple:
+        return lambda raw: tuple(args[0](cell.strip()) for cell in raw.split(",")) if raw else ()
+    if tp is bool:
+        return _parse_bool
+    return tp
+
+
+# The noise_* keys together build one NoiseSpec; every other key is an
+# ExperimentConfig field, parsed according to its declared type.
+_NOISE_PARSERS = {
     "noise_kind": str,
     "noise_fraction": float,
-    "noise_clients": _parse_int_list,
+    "noise_clients": _parser_for(Tuple[int, ...]),
     "noise_seed": int,
     "noise_flip_map": _parse_flip_map,
 }
 
-_NOISE_KEYS = ("noise_kind", "noise_fraction", "noise_clients", "noise_seed", "noise_flip_map")
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+_CONFIG_PARSERS = {
+    **{f.name: _parser_for(_FIELD_TYPES[f.name]) for f in fields(ExperimentConfig) if f.name != "noise"},
+    **_NOISE_PARSERS,
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -114,18 +102,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigurationError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
-        if raw_value == "" and key in ("dataset_file", "client_proportions", "hidden_dims"):
-            values[key] = None if key == "dataset_file" else ()
-            continue
         try:
             values[key] = _CONFIG_PARSERS[key](raw_value)
         except ValueError as exc:
             raise ConfigurationError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
 
-    noise_values = {key: values.pop(key) for key in _NOISE_KEYS if key in values}
+    noise_values = {key: values.pop(key) for key in _NOISE_PARSERS if key in values}
     kwargs = dict(values)
-    if "client_proportions" in kwargs and kwargs["client_proportions"] == ():
-        kwargs["client_proportions"] = None
     if noise_values:
         for required in ("noise_kind", "noise_fraction", "noise_clients"):
             if required not in noise_values:

@@ -1,22 +1,22 @@
-"""Federated rounds: credibility scoring, weighted aggregation, baselines.
+"""Federated rounds: credibility scoring, weighted aggregation, FedAvg.
 
-One round of the credibility-weighted protocol ("focus") does, in order:
+One round engine serves both aggregators.  A round does, in order:
 
 1. broadcast the global model; every participant runs local SGD on its shard;
-2. the server scores each returned model on its benchmark set (``LS``);
-3. the server aggregates the returned models using the weights computed at
+2. the server aggregates the returned models using the weights computed at
    the *previous* round (stale-weight schedule);
-4. each participant scores the fresh global model on its own shard and
+3. the server scores each returned model on its benchmark set (``LS``), and
+   each participant scores the fresh global model on its own shard and
    reports that single scalar back (``LL``);
-5. the server forms the mutual cross-entropy ``E = LS + LL`` per client,
+4. the server forms the mutual cross-entropy ``E = LS + LL`` per client,
    turns it into credibilities ``C = 1 - softmax(alpha * E)``, and computes
    the weights ``W_k = n_k C_k / sum_i n_i C_i`` to be used next round.
 
-Every participant therefore exchanges exactly two logical messages per
-round: one model down, one model (plus, for "focus", one scalar) up.
-
-The FedAvg baseline (:func:`fedavg_round`) skips steps 2, 4, and 5 and
-always aggregates with the fixed sample-proportional weights.
+FedAvg (:func:`fedavg_round`) is the same round with scoring off: steps 3
+and 4 are skipped, step 2 uses the participants' sample-proportional weights
+``n_k / sum n``, and the stored weights never change.  Every participant
+exchanges exactly two logical messages per round: one model down, and one
+model up, which carries the ``LL`` scalar when scoring is on.
 """
 
 from __future__ import annotations
@@ -199,32 +199,14 @@ def model_test(m: ModelParams, d: Dataset, reduction: str = "mean") -> float:
         raise InvalidInputError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     if d.n < 1:
         raise InvalidInputError("cannot score an empty dataset")
-    probs = learner.predict_proba(m, d.features)
+    if d.dim != m.arch.input_dim:
+        raise InvalidInputError(f"dataset has {d.dim} features but the model expects {m.arch.input_dim}")
     if d.num_classes != m.arch.num_classes:
         raise InvalidInputError(
             f"dataset has {d.num_classes} classes but the model expects {m.arch.num_classes}"
         )
-    picked = np.clip(probs[np.arange(d.n), d.labels], learner.PROB_FLOOR, None)
-    loss = -float(np.log(picked).sum())
-    if reduction == "mean":
-        loss /= d.n
-    return loss
-
-
-def mutual_cross_entropy(ls: float, ll: float) -> float:
-    """Combine the two scoring directions into one evaluation score.
-
-    ``ls`` is the client's model scored on the server's benchmark; ``ll`` is
-    the global model scored on the client's shard.  Their sum is low only
-    when both directions agree the data and model are sound.
-    """
-    ls = float(ls)
-    ll = float(ll)
-    if not (math.isfinite(ls) and math.isfinite(ll)):
-        raise InvalidInputError(f"cross-entropy terms must be finite, got ls={ls}, ll={ll}")
-    if ls < 0 or ll < 0:
-        raise InvalidInputError(f"cross-entropy terms must be non-negative, got ls={ls}, ll={ll}")
-    return ls + ll
+    _, probs = learner.forward(m.arch, m.values, d.features)
+    return learner.cross_entropy(probs, d.labels, reduction)
 
 
 def credibilities(e, alpha: float = 1.0) -> np.ndarray:
@@ -337,7 +319,7 @@ def init_server(
 
 def _check_round_args(
     server: ServerState, clients: Sequence[ClientState], participants: Optional[Sequence[int]]
-) -> Tuple[int]:
+) -> Tuple[int, ...]:
     if len(clients) != server.num_clients:
         raise InvalidInputError(
             f"server tracks {server.num_clients} clients but {len(clients)} were given"
@@ -358,21 +340,67 @@ def _check_round_args(
     return part
 
 
-def _train_participants(
+def _round(
     server: ServerState,
     clients: Sequence[ClientState],
     sgd: SgdConfig,
-    part: Tuple[int, ...],
+    participants: Optional[Sequence[int]],
     message_log: Optional[List[MessageRecord]],
-    t: int,
-) -> List[ModelParams]:
+    scoring: bool,
+) -> Tuple[ServerState, Tuple[ClientState, ...], Optional[CredReport]]:
+    """One round of either aggregator; ``scoring=False`` is FedAvg."""
+    part = _check_round_args(server, clients, participants)
+    idx = list(part)
+    t = server.round + 1
     pcount = server.global_model.arch.parameter_count()
-    locals_: List[ModelParams] = []
-    for k in part:
+    n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
+    try:
+        local_models = []
+        for k in part:
+            if message_log is not None:
+                message_log.append(MessageRecord(t, "down", k, pcount, 0))
+            local_models.append(learner.client_update(server.global_model, clients[k].data, sgd))
+
+        if scoring:
+            # Full participation uses the stored weights exactly; otherwise the
+            # participants' stored mass is spread over them for aggregation.
+            w_prev = server.weights[idx]
+            mass = 1.0 if len(part) == len(clients) else float(w_prev.sum())
+            if mass <= 0.0:
+                raise DegenerateCredibilityError(
+                    f"participants {part} carry no aggregation weight from the previous round"
+                )
+            w_agg = w_prev / mass
+        else:
+            w_agg = n_part / n_part.sum()
+        new_global = aggregate(local_models, w_agg)
         if message_log is not None:
-            message_log.append(MessageRecord(t, "down", k, pcount, 0))
-        locals_.append(learner.client_update(server.global_model, clients[k].data, sgd))
-    return locals_
+            message_log.extend(MessageRecord(t, "up", k, pcount, int(scoring)) for k in part)
+
+        updates = {}
+        report = None
+        if scoring:
+            ls = np.array([model_test(m, server.benchmark, server.reduction) for m in local_models])
+            ll = np.array([model_test(new_global, clients[k].data, server.reduction) for k in part])
+            e = ls + ll
+            e_mean = float(e.mean())
+            e_scaled = e / e_mean if (server.standardize_e and e_mean > 0) else e
+            c_part = credibilities(e_scaled, server.alpha)
+            w_part = aggregation_weights(n_part, c_part) * mass
+            weights = np.array(server.weights)
+            creds = np.array(server.credibilities)
+            weights[idx] = w_part
+            creds[idx] = c_part
+            updates = {"weights": weights, "credibilities": creds}
+            report = CredReport(client_ids=part, ls=ls, ll=ll, e=e, c=c_part, w=w_part)
+    except (TrainingDivergenceError, DegenerateCredibilityError) as exc:
+        raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
+
+    new_clients = list(clients)
+    for j, k in enumerate(part):
+        new_clients[k] = replace(clients[k], local_model=local_models[j])
+    new_server = replace(server, global_model=new_global, round=t, **updates)
+    return new_server, tuple(new_clients), report
 
 
 def focus_round(
@@ -394,55 +422,7 @@ def focus_round(
     Training divergence and degenerate credibilities are re-raised as
     :class:`RoundError` with this round's 1-based index attached.
     """
-    part = _check_round_args(server, clients, participants)
-    t = server.round + 1
-    pcount = server.global_model.arch.parameter_count()
-    try:
-        local_models = _train_participants(server, clients, sgd, part, message_log, t)
-
-        ls = np.array([model_test(m, server.benchmark, server.reduction) for m in local_models])
-
-        w_prev = server.weights[list(part)]
-        if len(part) == len(clients):
-            # Full participation: the stored weights are used exactly.
-            mass = 1.0
-            w_agg = w_prev
-        else:
-            mass = float(w_prev.sum())
-            if mass <= 0.0:
-                raise DegenerateCredibilityError(
-                    f"participants {part} carry no aggregation weight from the previous round"
-                )
-            w_agg = w_prev / mass
-        new_global = aggregate(local_models, w_agg)
-
-        ll = np.empty(len(part))
-        for j, k in enumerate(part):
-            ll[j] = model_test(new_global, clients[k].data, server.reduction)
-            if message_log is not None:
-                message_log.append(MessageRecord(t, "up", k, pcount, 1))
-
-        e = np.array([mutual_cross_entropy(ls[j], ll[j]) for j in range(len(part))])
-        e_mean = float(e.mean())
-        e_scaled = e / e_mean if (server.standardize_e and e_mean > 0) else e
-        c_part = credibilities(e_scaled, server.alpha)
-        n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
-        w_part = aggregation_weights(n_part, c_part) * mass
-    except (TrainingDivergenceError, DegenerateCredibilityError) as exc:
-        raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
-
-    new_weights = np.array(server.weights)
-    new_creds = np.array(server.credibilities)
-    new_weights[list(part)] = w_part
-    new_creds[list(part)] = c_part
-    new_server = replace(
-        server, global_model=new_global, weights=new_weights, credibilities=new_creds, round=t
-    )
-    new_clients = list(clients)
-    for j, k in enumerate(part):
-        new_clients[k] = replace(clients[k], local_model=local_models[j])
-    report = CredReport(client_ids=part, ls=ls, ll=ll, e=e, c=c_part, w=w_part)
-    return new_server, tuple(new_clients), report
+    return _round(server, clients, sgd, participants, message_log, scoring=True)
 
 
 def fedavg_round(
@@ -455,25 +435,10 @@ def fedavg_round(
     """Run one FedAvg round: train locally, average by sample counts.
 
     No scoring happens in either direction, so the uplink carries the model
-    and nothing else, and the stored weights never change.
+    and nothing else, and the stored weights never change.  Training
+    divergence is re-raised as :class:`RoundError` with the round index.
     """
-    part = _check_round_args(server, clients, participants)
-    t = server.round + 1
-    pcount = server.global_model.arch.parameter_count()
-    try:
-        local_models = _train_participants(server, clients, sgd, part, message_log, t)
-    except TrainingDivergenceError as exc:
-        raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
-    n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
-    new_global = aggregate(local_models, n_part / n_part.sum())
-    for k in part:
-        if message_log is not None:
-            message_log.append(MessageRecord(t, "up", k, pcount, 0))
-    new_server = replace(server, global_model=new_global, round=t)
-    new_clients = list(clients)
-    for j, k in enumerate(part):
-        new_clients[k] = replace(clients[k], local_model=local_models[j])
-    return new_server, tuple(new_clients), None
+    return _round(server, clients, sgd, participants, message_log, scoring=False)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     seeds = derive_seeds(cfg.master_seed)
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
+    federated_round = {"focus": focus_round, "fedavg": fedavg_round}.get(cfg.aggregator)
     k = len(clients)
     prng = np.random.default_rng(seeds["participation"])
     messages: List[MessageRecord] = []
@@ -273,21 +274,18 @@ def run(cfg: ExperimentConfig) -> RunResult:
                 size = max(1, int(round(cfg.participation_fraction * k)))
                 participants = np.sort(prng.choice(k, size=size, replace=False)).tolist()
             cred: Optional[CredReport] = None
-            if cfg.aggregator == "focus":
-                server, clients, cred = focus_round(server, clients, sgd, participants, messages)
-                acc = learner.accuracy(server.global_model, test)
-            elif cfg.aggregator == "fedavg":
-                server, clients, _ = fedavg_round(server, clients, sgd, participants, messages)
-                acc = learner.accuracy(server.global_model, test)
-            else:
+            if federated_round is None:
                 clients = _local_baseline_round(clients, sgd, t)
                 acc = float(np.mean([learner.accuracy(c.local_model, test) for c in clients]))
+            else:
+                server, clients, cred = federated_round(server, clients, sgd, participants, messages)
+                acc = learner.accuracy(server.global_model, test)
             metrics.append(RoundMetrics(t, acc, fl_training_loss(clients), cred))
     except RoundError as exc:
         exc.partial_metrics = tuple(metrics)
         raise
     duration = time.perf_counter() - start
-    if cfg.aggregator == "local_baseline":
+    if federated_round is None:
         final_model = None
         final_weights = None
     else:
@@ -363,20 +361,21 @@ def seed_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> Tuple[RunResult, 
     return tuple(run(replace(cfg, master_seed=int(s))) for s in seeds)
 
 
-def summarize_accuracy(results: Sequence[RunResult]) -> Tuple[float, float]:
-    """Mean and standard deviation of final test accuracy across runs."""
-    finals = [r.final_accuracy for r in results]
-    return float(np.mean(finals)), float(np.std(finals))
-
-
 # ---------------------------------------------------------------------------
 # Runs on disk
 # ---------------------------------------------------------------------------
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Short stable fingerprint of a config (12 hex chars of sha256)."""
+    """Short stable fingerprint of a run's inputs (12 hex chars of sha256).
+
+    It covers every config field and, when ``dataset_file`` is set, the
+    sha256 of that file's bytes, so two different files at one path do not
+    share a hash or a run directory.
+    """
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    if cfg.dataset_file is not None:
+        canonical += hashlib.sha256(Path(cfg.dataset_file).read_bytes()).hexdigest()
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 

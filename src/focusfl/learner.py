@@ -145,7 +145,7 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(chunks))
 
 
-def _forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
     """Run the network on a batch; returns (layer activations, probabilities).
 
     The activation list starts with the input batch and contains the tanh
@@ -164,6 +164,18 @@ def _forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> Tuple[List[np
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
     return acts, probs
+
+
+def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
+    """Negative log-likelihood of labels ``y`` under row probabilities ``probs``.
+
+    Probabilities are clamped at ``PROB_FLOOR`` before the log, and the
+    per-row losses are reduced by ``reduction`` ("mean" or "sum").  Inputs are
+    not validated; callers pass arrays whose shapes already agree.
+    """
+    n = y.shape[0]
+    loss = -float(np.log(np.clip(probs[np.arange(n), y], PROB_FLOOR, None)).sum())
+    return loss / n if reduction == "mean" else loss
 
 
 def _check_features(arch: ArchSpec, x) -> np.ndarray:
@@ -202,7 +214,7 @@ def predict_proba(m: ModelParams, x) -> np.ndarray:
     if single:
         arr = arr[None, :]
     arr = _check_features(m.arch, arr)
-    _, probs = _forward(m.arch, m.values, arr)
+    _, probs = forward(m.arch, m.values, arr)
     return probs[0] if single else probs
 
 
@@ -211,13 +223,11 @@ def _loss_grad_arrays(
 ) -> Tuple[float, np.ndarray]:
     """Cross-entropy loss and its gradient for raw arrays (no validation)."""
     n = x.shape[0]
-    acts, probs = _forward(arch, values, x)
-    picked = np.clip(probs[np.arange(n), y], PROB_FLOOR, None)
-    loss = -float(np.log(picked).sum())
+    acts, probs = forward(arch, values, x)
+    loss = cross_entropy(probs, y, reduction)
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
     if reduction == "mean":
-        loss /= n
         delta /= n
     layers = _layer_views(arch, values)
     grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
@@ -299,6 +309,6 @@ def accuracy(m: ModelParams, d) -> float:
     Ties in the probability vector resolve to the lowest class index.
     """
     x, y = _check_batch(m.arch, d)
-    _, probs = _forward(m.arch, m.values, x)
+    _, probs = forward(m.arch, m.values, x)
     pred = probs.argmax(axis=1)
     return float(np.mean(pred == np.asarray(y)))

@@ -22,7 +22,6 @@ from focusfl.federation import (
     init_server,
     load_model,
     model_test,
-    mutual_cross_entropy,
     save_model,
 )
 from focusfl.learner import (
@@ -93,18 +92,10 @@ class TestModelTest:
         with pytest.raises(InvalidInputError):
             model_test(m, d, "max")
 
-
-class TestMutualCrossEntropy:
-    def test_adds_the_two_directions(self):
-        assert mutual_cross_entropy(1.25, 2.5) == 3.75
-
-    def test_rejects_negative_and_nonfinite(self):
-        with pytest.raises(InvalidInputError):
-            mutual_cross_entropy(-0.1, 1.0)
-        with pytest.raises(InvalidInputError):
-            mutual_cross_entropy(float("nan"), 1.0)
-        with pytest.raises(InvalidInputError):
-            mutual_cross_entropy(1.0, float("inf"))
+    def test_rejects_mismatched_feature_width(self):
+        m = init_params(ArchSpec(2, (), 2), seed=0)
+        with pytest.raises(InvalidInputError, match="features"):
+            model_test(m, Dataset(np.zeros((2, 3)), np.array([0, 1]), 2))
 
 
 class TestCredibilities:
@@ -282,6 +273,13 @@ class TestStateValidation:
             CredReport((0, 1), ls, ll, ls + ll + 1e-9, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         report = CredReport((0, 1), ls, ll, ls + ll, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         np.testing.assert_array_equal(report.e, [1.5, 2.25])
+
+    def test_cred_report_rejects_negative_and_nonfinite_scores(self):
+        half = np.array([0.5, 0.5])
+        for ls, ll in (([-0.1, 1.0], [1.0, 1.0]), ([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.inf])):
+            ls, ll = np.array(ls), np.array(ll)
+            with pytest.raises(InvalidInputError):
+                CredReport((0, 1), ls, ll, ls + ll, half, half)
 
 
 class TestFocusRound:

@@ -20,7 +20,6 @@ from focusfl.harness import (
     load_metrics_csv,
     run,
     seed_sweep,
-    summarize_accuracy,
     write_run_result,
 )
 
@@ -243,10 +242,6 @@ class TestSweep:
     def test_seed_sweep_runs_each_seed(self):
         results = seed_sweep(fast_config(rounds=2), seeds=[0, 1, 2])
         assert [r.config.master_seed for r in results] == [0, 1, 2]
-        mean, std = summarize_accuracy(results)
-        finals = [r.final_accuracy for r in results]
-        np.testing.assert_allclose(mean, np.mean(finals))
-        np.testing.assert_allclose(std, np.std(finals))
 
     def test_empty_seed_list_is_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -260,6 +255,17 @@ class TestRunOutput:
         assert len(a) == 12 and set(a) <= set("0123456789abcdef")
         assert a != config_hash(fast_config(master_seed=1))
         assert a != config_hash(fast_config(aggregator="fedavg"))
+        # Configs without a dataset file keep the hash (and run dir) they had
+        # before file contents were folded in.
+        assert config_hash(ExperimentConfig()) == "538274c35f1e"
+
+    def test_config_hash_covers_dataset_file_content(self, tmp_path):
+        path = tmp_path / "data.csv"
+        cfg = fast_config(dataset_file=str(path))
+        path.write_text("f0,label\n0.0,0\n1.0,1\n")
+        first = config_hash(cfg)
+        path.write_text("f0,label\n0.0,1\n1.0,0\n")
+        assert config_hash(cfg) != first
 
     def test_written_files_round_trip(self, tmp_path):
         result = run(fast_config())
@@ -297,3 +303,17 @@ class TestRunOutput:
         bad.write_text("not,the,header\n1,2,3\n")
         with pytest.raises(InvalidInputError):
             load_metrics_csv(bad)
+
+
+class TestKnownLimits:
+    def test_credibility_loses_its_effect_as_noisy_clients_multiply(self):
+        """Characterizes the paper's ``1 - softmax`` credibility (README,
+        "Known limits"): at K=8, 30 rounds, seed 0, one randomized client
+        ends with 0.137x a clean client's weight, but three end with 0.788x,
+        because the softmax mass is shared among all the high-E clients."""
+        ratios = []
+        for noisy in (1, 3):
+            noise = NoiseSpec(kind="randomize", fraction=1.0, target_clients=tuple(range(noisy)))
+            w = np.array(run(ExperimentConfig(num_clients=8, rounds=30, noise=(noise,))).final_weights)
+            ratios.append(w[:noisy].mean() / w[noisy:].mean())
+        assert ratios == [pytest.approx(0.137, abs=5e-4), pytest.approx(0.788, abs=5e-4)]

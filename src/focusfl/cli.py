@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_o
 from . import harness
 from .data import NoiseSpec
 from .errors import ConfigurationError, FocusFlError
-from .harness import ComparisonReport, ExperimentConfig, RunResult
+from .harness import ExperimentConfig, RunResult
 
 ENV_SEED = "FOCUS_SEED"
 LONG_CSV_NAME = "report_long.csv"
@@ -207,21 +207,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
-    runs = _scenario_runs(args.scenario)
-    results: List[Tuple[str, RunResult, Path]] = []
-    for label, cfg in runs:
-        cfg = _apply_env_seed(cfg)
-        run_dir = _run_dir_for(cfg, args.out)
+    runs = [(label, _apply_env_seed(cfg)) for label, cfg in _scenario_runs(args.scenario)]
+    run_dirs = [_run_dir_for(cfg, args.out) for _, cfg in runs]
+    for run_dir in run_dirs:  # before running anything, so a refusal leaves no half scenario
         _refuse_existing(run_dir, args.force)
-        result = harness.run(cfg)
+    if len(runs) == 2:
+        report = harness.compare(runs[0][1], runs[1][1])
+        results = [report.result_a, report.result_b]
+    else:
+        results = [harness.run(runs[0][1])]
+    print(f"scenario {args.scenario} (master_seed {results[0].config.master_seed})")
+    for (label, _), result, run_dir in zip(runs, results, run_dirs):
         harness.write_run_result(result, run_dir)
-        results.append((label, result, run_dir))
-    print(f"scenario {args.scenario} (master_seed {results[0][1].config.master_seed})")
-    for label, result, run_dir in results:
         _print_run_summary(label, result, run_dir)
-    if len(results) == 2:
-        delta = results[0][1].final_accuracy - results[1][1].final_accuracy
-        print(f"final accuracy delta ({results[0][0]} - {results[1][0]}): {delta:+.4f}")
+    if len(runs) == 2:
+        print(f"final accuracy delta ({runs[0][0]} - {runs[1][0]}): {report.final_accuracy_delta:+.4f}")
     return 0
 
 

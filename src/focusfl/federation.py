@@ -41,8 +41,6 @@ from .learner import ArchSpec, ModelParams, SgdConfig
 # Magic prefix of the binary model checkpoint container (version 1).
 MODEL_MAGIC = b"FOCUSMP1"
 
-CRED_CSV_HEADER = "round,client,ls,ll,e,c,w"
-
 
 def _frozen_f64(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).copy()
@@ -63,15 +61,7 @@ class ClientState:
     local_model: ModelParams
 
     def __post_init__(self):
-        if self.data.n < 1:
-            raise InvalidInputError(f"client {self.id} has an empty data shard")
-        arch = self.local_model.arch
-        if self.data.dim != arch.input_dim or self.data.num_classes != arch.num_classes:
-            raise InvalidInputError(
-                f"client {self.id}: shard shape ({self.data.dim} features, "
-                f"{self.data.num_classes} classes) does not match the model "
-                f"({arch.input_dim} features, {arch.num_classes} classes)"
-            )
+        learner.check_fits(self.local_model.arch, self.data, f"client {self.id} shard")
 
     @property
     def n_k(self) -> int:
@@ -113,17 +103,11 @@ class ServerState:
             )
         if np.any(creds < 0) or np.any(creds > 1):
             raise InvalidInputError("credibilities must lie in [0, 1]")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InvalidInputError(f"alpha must be positive, got {self.alpha}")
-        if self.reduction not in ("mean", "sum"):
-            raise InvalidInputError(f"reduction must be 'mean' or 'sum', got {self.reduction!r}")
+        check_alpha(self.alpha)
+        learner.check_reduction(self.reduction)
         if int(self.round) != self.round or self.round < 0:
             raise InvalidInputError(f"round must be a non-negative integer, got {self.round}")
-        if self.benchmark.n < 1:
-            raise InvalidInputError("benchmark set is empty")
-        arch = self.global_model.arch
-        if self.benchmark.dim != arch.input_dim or self.benchmark.num_classes != arch.num_classes:
-            raise InvalidInputError("benchmark set does not match the global model's architecture")
+        learner.check_fits(self.global_model.arch, self.benchmark, "benchmark set")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "credibilities", creds)
 
@@ -195,18 +179,15 @@ def model_test(m: ModelParams, d: Dataset, reduction: str = "mean") -> float:
     rows, "sum" adds them up).  This is the scoring primitive used both
     server-side (benchmark) and client-side (own shard).
     """
-    if reduction not in ("mean", "sum"):
-        raise InvalidInputError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-    if d.n < 1:
-        raise InvalidInputError("cannot score an empty dataset")
-    if d.dim != m.arch.input_dim:
-        raise InvalidInputError(f"dataset has {d.dim} features but the model expects {m.arch.input_dim}")
-    if d.num_classes != m.arch.num_classes:
-        raise InvalidInputError(
-            f"dataset has {d.num_classes} classes but the model expects {m.arch.num_classes}"
-        )
-    _, probs = learner.forward(m.arch, m.values, d.features)
-    return learner.cross_entropy(probs, d.labels, reduction)
+    learner.check_reduction(reduction)
+    learner.check_fits(m.arch, d, "scored dataset")
+    return learner.cross_entropy(learner.forward(m.arch, m.values, d.features), d.labels, reduction)
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise unless the credibility sharpness ``alpha`` is finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidInputError(f"alpha must be finite and positive, got {alpha}")
 
 
 def credibilities(e, alpha: float = 1.0) -> np.ndarray:
@@ -222,8 +203,7 @@ def credibilities(e, alpha: float = 1.0) -> np.ndarray:
         raise InvalidInputError(f"e must be a non-empty 1-D vector, got shape {e.shape}")
     if not np.all(np.isfinite(e)):
         raise InvalidInputError("e contains non-finite entries")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InvalidInputError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     if e.size == 1:
         return np.ones(1)
     z = alpha * e
@@ -324,12 +304,11 @@ def _check_round_args(
         raise InvalidInputError(
             f"server tracks {server.num_clients} clients but {len(clients)} were given"
         )
+    # Each ClientState's shard already fits its model; only the models must match.
     arch = server.global_model.arch
     for c in clients:
         if c.local_model.arch != arch:
             raise InvalidInputError(f"client {c.id} model architecture differs from the global model")
-        if c.data.dim != arch.input_dim or c.data.num_classes != arch.num_classes:
-            raise InvalidInputError(f"client {c.id} shard does not match the global model")
     if participants is None:
         return tuple(range(len(clients)))
     part = tuple(sorted(int(p) for p in participants))
@@ -485,16 +464,3 @@ def load_model(path: str) -> ModelParams:
         )
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
     return ModelParams(arch, values)
-
-
-def cred_csv_rows(round_index: int, report: CredReport) -> List[str]:
-    """CSV rows ``round,client,ls,ll,e,c,w`` for one round's report."""
-    rows = []
-    for j, k in enumerate(report.client_ids):
-        rows.append(
-            ",".join(
-                [str(int(round_index)), str(int(k))]
-                + [repr(float(v)) for v in (report.ls[j], report.ll[j], report.e[j], report.c[j], report.w[j])]
-            )
-        )
-    return rows

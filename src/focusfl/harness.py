@@ -35,6 +35,9 @@ from .learner import ArchSpec, ModelParams, SgdConfig
 AGGREGATORS = ("focus", "fedavg", "local_baseline")
 
 METRICS_CSV_HEADER = "round,accuracy,fl_loss"
+CRED_CSV_HEADER = "round,client,ls,ll,e,c,w"
+# Columns of the run CSVs that hold integers; every other column is a float.
+_INT_COLUMNS = ("round", "client")
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,17 @@ class ExperimentConfig:
         try:
             self.partition_plan(seed=0)
             self.sgd_config(seed=0)
+            federation.check_alpha(self.alpha)
+            learner.check_reduction(self.reduction)
             if self.dataset_file is None:
                 ArchSpec(self.dim, self.hidden_dims, self.num_classes)
                 # One-row probe of the generator checks class count, sample
                 # count, separation, and the dim >= num_classes - 1 bound.
                 synth_blobs(self.num_classes, min(self.samples_per_class, 1), self.dim, self.separation, seed=0)
+            else:  # the file decides dim and num_classes; check the hidden widths alone
+                ArchSpec(1, self.hidden_dims, 2)
         except InvalidInputError as exc:
             raise ConfigurationError(str(exc)) from exc
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.reduction not in ("mean", "sum"):
-            raise ConfigurationError(f"reduction must be 'mean' or 'sum', got {self.reduction!r}")
 
     def partition_plan(self, seed: int) -> PartitionPlan:
         return PartitionPlan(
@@ -379,6 +382,28 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row: ints in the integer columns, ``repr`` floats elsewhere."""
+    ints = [name in _INT_COLUMNS for name in header.split(",")]
+    lines = [",".join(str(int(v)) if is_int else repr(float(v)) for is_int, v in zip(ints, row)) for row in rows]
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+
+def _read_csv(path, header: str) -> List[tuple]:
+    """Rows of a file written by :func:`_write_csv` with the same ``header``."""
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not lines or lines[0] != header:
+        raise InvalidInputError(f"{path}: malformed header, expected {header!r}")
+    parsers = [int if name in _INT_COLUMNS else float for name in header.split(",")]
+    rows = []
+    for line in lines[1:]:
+        try:
+            rows.append(tuple(parse(cell) for parse, cell in zip(parsers, line.split(","), strict=True)))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed row {line!r}: {exc}") from exc
+    return rows
+
+
 def write_run_result(result: RunResult, run_dir) -> None:
     """Write metrics.csv, credibility.csv, result.json, and the checkpoint.
 
@@ -389,17 +414,16 @@ def write_run_result(result: RunResult, run_dir) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = [METRICS_CSV_HEADER]
-    for m in result.metrics:
-        lines.append(f"{m.round},{repr(float(m.test_accuracy))},{repr(float(m.fl_loss))}")
-    (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    cred_lines = [federation.CRED_CSV_HEADER]
-    for m in result.metrics:
-        if m.cred is not None:
-            cred_lines.extend(federation.cred_csv_rows(m.round, m.cred))
-    if len(cred_lines) > 1:
-        (run_dir / "credibility.csv").write_text("\n".join(cred_lines) + "\n", encoding="utf-8")
+    metrics_rows = [(m.round, m.test_accuracy, m.fl_loss) for m in result.metrics]
+    _write_csv(run_dir / "metrics.csv", METRICS_CSV_HEADER, metrics_rows)
+    cred_rows = [
+        (m.round, k, m.cred.ls[j], m.cred.ll[j], m.cred.e[j], m.cred.c[j], m.cred.w[j])
+        for m in result.metrics
+        if m.cred is not None
+        for j, k in enumerate(m.cred.client_ids)
+    ]
+    if cred_rows:
+        _write_csv(run_dir / "credibility.csv", CRED_CSV_HEADER, cred_rows)
 
     checkpoint = None
     if result.final_model is not None:
@@ -422,27 +446,9 @@ def write_run_result(result: RunResult, run_dir) -> None:
 
 def load_metrics_csv(path) -> List[Tuple[int, float, float]]:
     """Read a metrics.csv back into (round, accuracy, fl_loss) tuples."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or text[0] != METRICS_CSV_HEADER:
-        raise InvalidInputError(f"{path}: malformed metrics file")
-    rows = []
-    for line in text[1:]:
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise InvalidInputError(f"{path}: malformed metrics row {line!r}")
-        rows.append((int(cells[0]), float(cells[1]), float(cells[2])))
-    return rows
+    return _read_csv(path, METRICS_CSV_HEADER)
 
 
 def load_credibility_csv(path) -> List[Tuple[int, int, float, float, float, float, float]]:
     """Read a credibility.csv back into (round, client, ls, ll, e, c, w) tuples."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or text[0] != federation.CRED_CSV_HEADER:
-        raise InvalidInputError(f"{path}: malformed credibility file")
-    rows = []
-    for line in text[1:]:
-        cells = line.split(",")
-        if len(cells) != 7:
-            raise InvalidInputError(f"{path}: malformed credibility row {line!r}")
-        rows.append((int(cells[0]), int(cells[1])) + tuple(float(c) for c in cells[2:]))
-    return rows
+    return _read_csv(path, CRED_CSV_HEADER)

@@ -20,6 +20,7 @@ from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
+from .data import Dataset
 from .errors import InvalidInputError, TrainingDivergenceError
 
 # Probabilities are clamped here before any log so a confidently wrong
@@ -145,25 +146,31 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(chunks))
 
 
-def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Run the network on a batch; returns (layer activations, probabilities).
+def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray]) -> np.ndarray:
+    """Forward pass writing into ``outs``; returns the probabilities, ``outs[-1]``.
 
-    The activation list starts with the input batch and contains the tanh
-    output of every hidden layer, which is exactly what backprop needs.
-    Softmax is computed with the usual max-shift for numerical stability.
+    ``outs`` holds one ``(rows, width)`` array per layer: the tanh output of
+    each hidden layer, then the softmax (computed with the usual max-shift).
     """
-    layers = _layer_views(arch, values)
-    acts = [x]
     a = x
-    for w, b in layers[:-1]:
-        a = np.tanh(a @ w + b)
-        acts.append(a)
+    for (w, b), out in zip(layers[:-1], outs):
+        np.matmul(a, w, out=out)
+        out += b
+        a = np.tanh(out, out=out)
     w, b = layers[-1]
-    logits = a @ w + b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    return acts, probs
+    probs = outs[-1]
+    np.matmul(a, w, out=probs)
+    probs += b
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of the network for the batch ``x``, in fresh arrays."""
+    outs = [np.empty((x.shape[0], width)) for width in arch.layer_dims[1:]]
+    return _forward_into(_layer_views(arch, values), x, outs)
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
@@ -178,32 +185,29 @@ def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
     return loss / n if reduction == "mean" else loss
 
 
-def _check_features(arch: ArchSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != arch.input_dim:
-        raise InvalidInputError(f"feature batch has shape {x.shape}, expected (n, {arch.input_dim})")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("feature batch contains non-finite entries")
-    return x
+def check_reduction(reduction: str) -> None:
+    """Raise unless ``reduction`` is "mean" or "sum"."""
+    if reduction not in _REDUCTIONS:
+        raise InvalidInputError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
 
 
-def _check_batch(arch: ArchSpec, batch) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate a dataset-like batch against the architecture."""
-    x = _check_features(arch, batch.features)
-    y = np.asarray(batch.labels)
-    if x.shape[0] == 0:
-        raise InvalidInputError("batch is empty")
-    if y.shape != (x.shape[0],):
-        raise InvalidInputError(f"labels have shape {y.shape}, expected ({x.shape[0]},)")
-    if batch.num_classes != arch.num_classes:
+def check_fits(arch: ArchSpec, d: Dataset, what: str) -> None:
+    """Raise unless ``d`` (named ``what``) is non-empty and matches ``arch``'s width and classes.
+
+    A :class:`Dataset` already guarantees finite features and labels in its
+    class range, so nothing else about the data needs checking.
+    """
+    if d.n < 1:
+        raise InvalidInputError(f"{what} is empty")
+    if d.dim != arch.input_dim or d.num_classes != arch.num_classes:
         raise InvalidInputError(
-            f"batch has {batch.num_classes} classes but the model expects {arch.num_classes}"
+            f"{what} has {d.dim} features and {d.num_classes} classes, but the model "
+            f"expects {arch.input_dim} features and {arch.num_classes} classes"
         )
-    return x, y
 
 
 def predict_proba(m: ModelParams, x) -> np.ndarray:
-    """Class probabilities for one feature vector or a batch of them.
+    """Class probabilities for one raw feature vector or a batch of them.
 
     A 1-D input of length ``input_dim`` yields a probability vector of length
     ``num_classes``; a 2-D batch yields one row of probabilities per input
@@ -213,47 +217,59 @@ def predict_proba(m: ModelParams, x) -> np.ndarray:
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
-    arr = _check_features(m.arch, arr)
-    _, probs = forward(m.arch, m.values, arr)
+    if arr.ndim != 2 or arr.shape[1] != m.arch.input_dim:
+        raise InvalidInputError(f"feature batch has shape {arr.shape}, expected (n, {m.arch.input_dim})")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("feature batch contains non-finite entries")
+    probs = forward(m.arch, m.values, arr)
     return probs[0] if single else probs
 
 
-def _loss_grad_arrays(
-    arch: ArchSpec, values: np.ndarray, x: np.ndarray, y: np.ndarray, reduction: str
-) -> Tuple[float, np.ndarray]:
-    """Cross-entropy loss and its gradient for raw arrays (no validation)."""
+def _loss_grad_into(layers, grad_layers, x, y, outs, backs, reduction: str) -> float:
+    """Cross-entropy of one batch; writes its gradient into ``grad_layers``.
+
+    ``layers``/``grad_layers`` are (W, b) views of the parameter and gradient
+    vectors.  ``outs`` (see :func:`_forward_into`) and ``backs`` (one array per
+    hidden layer) are scratch of the batch's row count.  Nothing is validated.
+    """
     n = x.shape[0]
-    acts, probs = forward(arch, values, x)
+    probs = _forward_into(layers, x, outs)
     loss = cross_entropy(probs, y, reduction)
-    delta = probs.copy()
+    delta = probs  # the probabilities are not needed once the loss is taken
     delta[np.arange(n), y] -= 1.0
     if reduction == "mean":
         delta /= n
-    layers = _layer_views(arch, values)
-    grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
+    acts = [x, *outs[:-1]]
     for i in range(len(layers) - 1, -1, -1):
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        gw, gb = grad_layers[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if i > 0:
-            w, _ = layers[i]
-            # d(tanh)/dz = 1 - tanh^2, and the tanh output is already in acts[i].
-            delta = (delta @ w.T) * (1.0 - acts[i] ** 2)
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return loss, flat
+            # d(tanh)/dz = 1 - tanh^2, from the tanh output in acts[i], which
+            # nothing reads after this step.
+            a = np.square(acts[i], out=acts[i])
+            np.subtract(1.0, a, out=a)
+            delta = np.matmul(delta, layers[i][0].T, out=backs[i - 1])
+            delta *= a
+    return loss
 
 
-def loss_and_grad(m: ModelParams, batch, reduction: str = "mean") -> Tuple[float, np.ndarray]:
+def loss_and_grad(m: ModelParams, batch: Dataset, reduction: str = "mean") -> Tuple[float, np.ndarray]:
     """Cross-entropy loss of ``m`` on ``batch`` and its gradient.
 
     The loss is ``-log p(y_i | x_i)`` reduced over the batch by ``reduction``
     ("mean" or "sum"), with probabilities clamped at ``PROB_FLOOR`` before the
     log.  The gradient is a flat vector aligned with ``m.values``.
     """
-    if reduction not in _REDUCTIONS:
-        raise InvalidInputError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
-    x, y = _check_batch(m.arch, batch)
-    if np.any(y < 0) or np.any(y >= m.arch.num_classes):
-        raise InvalidInputError("batch labels fall outside the model's class range")
-    return _loss_grad_arrays(m.arch, m.values, x, y.astype(np.int64), reduction)
+    check_reduction(reduction)
+    check_fits(m.arch, batch, "batch")
+    arch, n = m.arch, batch.n
+    grad = np.empty(arch.parameter_count())
+    outs = [np.empty((n, width)) for width in arch.layer_dims[1:]]
+    backs = [np.empty((n, h)) for h in arch.hidden_dims]
+    layers, grad_layers = _layer_views(arch, m.values), _layer_views(arch, grad)
+    loss = _loss_grad_into(layers, grad_layers, batch.features, batch.labels, outs, backs, reduction)
+    return loss, grad
 
 
 def _batch_indices(n: int, batch_size: Union[int, str], rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -274,7 +290,7 @@ def _batch_indices(n: int, batch_size: Union[int, str], rng: np.random.Generator
                 yield order[start : start + batch_size]
 
 
-def client_update(m0: ModelParams, d, cfg: SgdConfig) -> ModelParams:
+def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     """Run exactly ``cfg.local_steps`` SGD steps on ``d`` starting from ``m0``.
 
     Each step computes the mean-reduced cross-entropy gradient on the current
@@ -283,32 +299,40 @@ def client_update(m0: ModelParams, d, cfg: SgdConfig) -> ModelParams:
     non-finite parameter vector raises :class:`TrainingDivergenceError` with
     the offending step index.
     """
-    x, y = _check_batch(m0.arch, d)
-    if np.any(y < 0) or np.any(y >= m0.arch.num_classes):
-        raise InvalidInputError("training labels fall outside the model's class range")
-    y = y.astype(np.int64)
+    check_fits(m0.arch, d, "training set")
+    arch = m0.arch
     values = m0.values.copy()
-    rng = np.random.default_rng(int(cfg.seed))
-    batches = _batch_indices(x.shape[0], cfg.batch_size, rng)
+    grad = np.empty_like(values)
+    layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
+    # Steps reuse these buffers rather than allocate temporaries; a short
+    # last mini-batch uses their leading rows.
+    rows = d.n if cfg.batch_size == "full" else min(cfg.batch_size, d.n)
+    x_buf, y_buf = np.empty((rows, arch.input_dim)), np.empty(rows, dtype=np.int64)
+    outs = [np.empty((rows, width)) for width in arch.layer_dims[1:]]
+    backs = [np.empty((rows, h)) for h in arch.hidden_dims]
+    batches = _batch_indices(d.n, cfg.batch_size, np.random.default_rng(int(cfg.seed)))
     for step in range(1, cfg.local_steps + 1):
         idx = next(batches)
-        loss, grad = _loss_grad_arrays(m0.arch, values, x[idx], y[idx], "mean")
+        n = idx.size
+        # mode="clip" only spares np.take the copy "raise" makes; idx is in range.
+        x = np.take(d.features, idx, axis=0, out=x_buf[:n], mode="clip")
+        y = np.take(d.labels, idx, out=y_buf[:n], mode="clip")
+        loss = _loss_grad_into(layers, grad_layers, x, y, [o[:n] for o in outs], [b[:n] for b in backs], "mean")
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite training loss at step {step}", step=step)
-        values -= cfg.learning_rate * grad
+        grad *= cfg.learning_rate
+        values -= grad
     if not np.all(np.isfinite(values)):
         raise TrainingDivergenceError(
             f"non-finite parameters after step {cfg.local_steps}", step=cfg.local_steps
         )
-    return ModelParams(m0.arch, values)
+    return ModelParams(arch, values)
 
 
-def accuracy(m: ModelParams, d) -> float:
+def accuracy(m: ModelParams, d: Dataset) -> float:
     """Fraction of rows in ``d`` whose argmax prediction matches the label.
 
     Ties in the probability vector resolve to the lowest class index.
     """
-    x, y = _check_batch(m.arch, d)
-    _, probs = forward(m.arch, m.values, x)
-    pred = probs.argmax(axis=1)
-    return float(np.mean(pred == np.asarray(y)))
+    check_fits(m.arch, d, "dataset")
+    return float(np.mean(forward(m.arch, m.values, d.features).argmax(axis=1) == d.labels))

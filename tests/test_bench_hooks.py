@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps functions by module attribute and silently
 skips a name that is missing, after which its per-layer report fails on an
 empty span list.  This test catches a renamed or removed lookup point
-without running the benchmark.
+without running the benchmark.  The names the benchmark calls directly,
+to run experiments and to read their artifacts back, must exist too.
 """
 
 import importlib
@@ -25,4 +26,21 @@ def test_every_trace_target_is_a_callable_in_the_package():
         for _, module, attr in tracing.TARGETS
         if not (module.__name__.startswith("focusfl.") and callable(getattr(module, attr, None)))
     ]
+    assert missing == []
+
+
+def test_every_name_the_benchmark_calls_exists():
+    import focusfl
+    import focusfl.cli
+
+    called = [
+        (focusfl.harness, "run"),
+        (focusfl.harness, "compare"),
+        (focusfl.harness, "write_run_result"),
+        (focusfl.harness, "load_metrics_csv"),
+        (focusfl.harness, "load_credibility_csv"),
+        (focusfl, "load_model"),
+        (focusfl.cli, "main"),
+    ]
+    missing = [f"{module.__name__}.{attr}" for module, attr in called if not callable(getattr(module, attr, None))]
     assert missing == []

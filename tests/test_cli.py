@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from focusfl.cli import main, parse_config_text
+from focusfl import harness
+from focusfl.cli import _scenario_runs, main, parse_config_text
+from focusfl.data import save_csv, synth_blobs
 from focusfl.errors import ConfigurationError
 
 FAST_CONFIG = """\
@@ -141,6 +143,22 @@ class TestCmdRun:
         config = write_config(tmp_path, text="rounds = 0\n")
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["alpha = nan\n", "alpha = inf\n", "hidden_dims = 0\ndataset_file = {data}\n"],
+        ids=["alpha-nan", "alpha-inf", "zero-width-with-dataset-file"],
+    )
+    def test_values_a_run_would_reject_exit_two_before_running(self, tmp_path, capsys, extra):
+        """Bad values that only a run used to reject (exit 3) are config errors."""
+        data = tmp_path / "data.csv"
+        save_csv(synth_blobs(2, 20, 2, 3.0, seed=0), str(data))
+        text = FAST_CONFIG.replace("hidden_dims = 8\n", "") + extra.format(data=data)
+        config = write_config(tmp_path, text=text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
         import numpy as np
 
@@ -215,6 +233,19 @@ class TestCmdRepro:
         assert len(run_dirs) == 1
         payload = json.loads((run_dirs[0] / "result.json").read_text())
         assert payload["config"]["num_clients"] == 3
+
+    def test_existing_run_dir_refuses_before_running_anything(self, tmp_path, monkeypatch, capsys):
+        """A pair whose second run dir exists writes neither run."""
+        monkeypatch.delenv("FOCUS_SEED", raising=False)
+        out = tmp_path / "out"
+        (_, focus_cfg), (_, fedavg_cfg) = _scenario_runs("usc-normal")
+        fedavg_dir = out / harness.config_hash(fedavg_cfg)
+        fedavg_dir.mkdir(parents=True)
+        (fedavg_dir / "result.json").write_text("{}")
+        assert main(["repro", "usc-normal", "--out", str(out)]) == 2
+        assert "--force" in capsys.readouterr().err
+        assert not (out / harness.config_hash(focus_cfg)).exists()
+        assert sorted(out.iterdir()) == [fedavg_dir]
 
     def test_unknown_scenario_is_an_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

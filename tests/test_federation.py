@@ -8,14 +8,12 @@ import pytest
 from focusfl.data import Dataset, synth_blobs
 from focusfl.errors import DegenerateCredibilityError, InvalidInputError, RoundError
 from focusfl.federation import (
-    CRED_CSV_HEADER,
     MODEL_MAGIC,
     ClientState,
     CredReport,
     ServerState,
     aggregate,
     aggregation_weights,
-    cred_csv_rows,
     credibilities,
     fedavg_round,
     focus_round,
@@ -475,32 +473,3 @@ class TestModelCheckpoint:
         (tmp_path / "short.bin").write_bytes(blob[:-8])
         with pytest.raises(InvalidInputError):
             load_model(str(tmp_path / "short.bin"))
-
-
-class TestCredCsv:
-    def test_rows_follow_the_header_layout(self):
-        report = CredReport(
-            (0, 1),
-            np.array([1.0, 2.0]),
-            np.array([0.5, 0.75]),
-            np.array([1.5, 2.75]),
-            np.array([0.6, 0.4]),
-            np.array([0.7, 0.3]),
-        )
-        rows = cred_csv_rows(3, report)
-        assert CRED_CSV_HEADER == "round,client,ls,ll,e,c,w"
-        assert rows[0] == "3,0,1.0,0.5,1.5,0.6,0.7"
-        assert rows[1] == "3,1,2.0,0.75,2.75,0.4,0.3"
-
-    def test_values_round_trip_through_repr(self):
-        report = CredReport(
-            (5,),
-            np.array([1.2345678901234567]),
-            np.array([0.1]),
-            np.array([1.2345678901234567 + 0.1]),
-            np.array([0.3333333333333333]),
-            np.array([1.0]),
-        )
-        cells = cred_csv_rows(7, report)[0].split(",")
-        assert float(cells[2]) == report.ls[0]
-        assert float(cells[5]) == report.c[0]

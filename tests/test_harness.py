@@ -8,9 +8,12 @@ import pytest
 
 from focusfl.data import NoiseSpec
 from focusfl.errors import ConfigurationError, InvalidInputError, RoundError
-from focusfl.federation import load_model, model_test
+from focusfl.federation import CredReport, load_model, model_test
 from focusfl.harness import (
+    CRED_CSV_HEADER,
     ExperimentConfig,
+    RoundMetrics,
+    RunResult,
     build_scenario,
     compare,
     config_hash,
@@ -60,6 +63,16 @@ class TestExperimentConfig:
             ExperimentConfig(reduction="max")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(num_classes=6, dim=3)  # too few dims for 6 means
+        for alpha in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match="alpha"):
+                ExperimentConfig(alpha=alpha)
+        with pytest.raises(ConfigurationError, match="hidden layer widths"):
+            ExperimentConfig(hidden_dims=(0,), dataset_file="data.csv")
+
+    def test_dataset_file_config_ignores_synthetic_shape_fields(self):
+        """The file decides dim and num_classes, so their values are not checked."""
+        cfg = ExperimentConfig(dataset_file="data.csv", dim=1, num_classes=9, hidden_dims=(4,))
+        assert cfg.dim == 1
 
     def test_derive_seeds_is_deterministic_and_spread(self):
         a = derive_seeds(123)
@@ -303,6 +316,52 @@ class TestRunOutput:
         bad.write_text("not,the,header\n1,2,3\n")
         with pytest.raises(InvalidInputError):
             load_metrics_csv(bad)
+        for row in ("1,0.5", "1,0.5,0.25,7", "1,half,0.25"):
+            bad.write_text(f"round,accuracy,fl_loss\n{row}\n")
+            with pytest.raises(InvalidInputError, match="malformed row"):
+                load_metrics_csv(bad)
+
+
+def _write_cred_report(run_dir, round_index, report):
+    """Write a one-round run carrying ``report`` and return credibility.csv's lines."""
+    result = RunResult(
+        config=ExperimentConfig(),
+        metrics=(RoundMetrics(round_index, 0.5, 1.0, report),),
+        final_model=None,
+        final_weights=None,
+        duration_seconds=0.0,
+        messages_per_round=0.0,
+    )
+    write_run_result(result, run_dir)
+    return (run_dir / "credibility.csv").read_text(encoding="utf-8").splitlines()
+
+
+class TestCredCsv:
+    def test_rows_follow_the_header_layout(self, tmp_path):
+        report = CredReport(
+            (0, 1),
+            np.array([1.0, 2.0]),
+            np.array([0.5, 0.75]),
+            np.array([1.5, 2.75]),
+            np.array([0.6, 0.4]),
+            np.array([0.7, 0.3]),
+        )
+        lines = _write_cred_report(tmp_path, 3, report)
+        assert CRED_CSV_HEADER == "round,client,ls,ll,e,c,w"
+        assert lines == [CRED_CSV_HEADER, "3,0,1.0,0.5,1.5,0.6,0.7", "3,1,2.0,0.75,2.75,0.4,0.3"]
+
+    def test_values_round_trip_through_repr(self, tmp_path):
+        report = CredReport(
+            (5,),
+            np.array([1.2345678901234567]),
+            np.array([0.1]),
+            np.array([1.2345678901234567 + 0.1]),
+            np.array([0.3333333333333333]),
+            np.array([1.0]),
+        )
+        _write_cred_report(tmp_path, 7, report)
+        (row,) = load_credibility_csv(tmp_path / "credibility.csv")
+        assert row == (7, 5, report.ls[0], report.ll[0], report.e[0], report.c[0], report.w[0])
 
 
 class TestKnownLimits:

@@ -198,6 +198,25 @@ class TestClientUpdate:
             values = values - 0.2 * grad
         np.testing.assert_array_equal(trained.values, values)
 
+    def test_minibatch_trajectory_with_short_last_chunk_matches_manual_replay(self):
+        """Ten rows in chunks of four: every epoch ends on a two-row step."""
+        rng = np.random.default_rng(33)
+        arch = ArchSpec(4, (5, 3), 3)
+        m0 = init_params(arch, seed=3)
+        d = random_batch(rng, arch, n=10)
+        cfg = SgdConfig(learning_rate=0.2, local_steps=8, batch_size=4, seed=17)
+        trained = client_update(m0, d, cfg)
+        order = np.random.default_rng(17)
+        chunks = []
+        while len(chunks) < 8:
+            perm = order.permutation(10)
+            chunks.extend([perm[0:4], perm[4:8], perm[8:10]])
+        values = m0.values.copy()
+        for idx in chunks[:8]:
+            _, grad = loss_and_grad(ModelParams(arch, values), d.subset(idx))
+            values = values - 0.2 * grad
+        np.testing.assert_array_equal(trained.values, values)
+
     def test_minibatch_schedule_is_seeded(self):
         rng = np.random.default_rng(37)
         arch = ArchSpec(4, (), 3)

@@ -1,13 +1,15 @@
 """Property tests for the invariants the simulator relies on."""
 
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from focusfl.cli import parse_config_text
-from focusfl.data import Dataset, PartitionPlan, partition
+from focusfl.data import Dataset, PartitionPlan, load_binary, load_csv, partition, save_binary, save_csv
 from focusfl.errors import ConfigurationError
 from focusfl.federation import (
     ClientState,
@@ -17,6 +19,8 @@ from focusfl.federation import (
     fedavg_round,
     focus_round,
     init_server,
+    load_model,
+    save_model,
 )
 from focusfl.harness import AGGREGATORS, ExperimentConfig
 from focusfl.learner import ArchSpec, ModelParams, SgdConfig, init_params
@@ -25,6 +29,7 @@ from focusfl.learner import ArchSpec, ModelParams, SgdConfig, init_params
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @FEW
@@ -164,3 +169,56 @@ def test_config_text_round_trips_every_field(values):
     assert set(values) == {f.name for f in fields(ExperimentConfig)} - {"noise"}
     text = "\n".join(f"{key} = {_config_text(value)}" for key, value in values.items())
     assert parse_config_text(text) == ExperimentConfig(**values)
+
+
+@st.composite
+def _datasets(draw):
+    n, dim, k = draw(st.integers(0, 12)), draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    features = draw(st.lists(any_finite, min_size=n * dim, max_size=n * dim))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return Dataset(np.array(features, dtype=np.float64).reshape(n, dim), np.array(labels, dtype=np.int64), k)
+
+
+def _round_trip(save, load, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "file")
+        save(obj, path)
+        return load(path)
+
+
+def _same_dataset(a: Dataset, b: Dataset) -> bool:
+    return (
+        a.num_classes == b.num_classes
+        and a.features.shape == b.features.shape
+        and a.features.tobytes() == b.features.tobytes()
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
+@FEW
+@given(_datasets())
+def test_csv_dataset_round_trips_bit_for_bit(d):
+    back = _round_trip(save_csv, lambda path: load_csv(path, num_classes=d.num_classes), d)
+    assert _same_dataset(d, back)
+
+
+@FEW
+@given(_datasets())
+def test_binary_dataset_round_trips_bit_for_bit(d):
+    assert _same_dataset(d, _round_trip(save_binary, load_binary, d))
+
+
+@st.composite
+def _models(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    arch = ArchSpec(draw(st.integers(1, 5)), hidden, draw(st.integers(2, 5)))
+    size = arch.parameter_count()
+    return ModelParams(arch, np.array(draw(st.lists(any_finite, min_size=size, max_size=size))))
+
+
+@FEW
+@given(_models())
+def test_model_checkpoint_round_trips_bit_for_bit(m):
+    back = _round_trip(save_model, load_model, m)
+    assert back.arch == m.arch
+    assert back.values.tobytes() == m.values.tobytes()

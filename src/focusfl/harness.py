@@ -112,6 +112,14 @@ class ExperimentConfig:
                 ArchSpec(1, self.hidden_dims, 2)
         except InvalidInputError as exc:
             raise ConfigurationError(str(exc)) from exc
+        for ns in self.noise:
+            if not ns.target_clients:
+                raise ConfigurationError("a noise spec must name at least one target client")
+            for k in ns.target_clients:
+                if k >= self.num_clients:
+                    raise ConfigurationError(
+                        f"noise targets client {k} but there are only {self.num_clients} clients"
+                    )
 
     def partition_plan(self, seed: int) -> PartitionPlan:
         return PartitionPlan(
@@ -200,13 +208,7 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     shards, bench, test = partition(source, cfg.partition_plan(seed=seeds["partition"]))
     shards = list(shards)
     for ns in cfg.noise:
-        if not ns.target_clients:
-            raise ConfigurationError("a noise spec must name at least one target client")
         for k in ns.target_clients:
-            if k >= cfg.num_clients:
-                raise ConfigurationError(
-                    f"noise targets client {k} but there are only {cfg.num_clients} clients"
-                )
             child_seed = int(np.random.SeedSequence([int(ns.seed), int(k)]).generate_state(1, dtype=np.uint64)[0])
             per_client = NoiseSpec(
                 kind=ns.kind,
@@ -235,11 +237,24 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     return server, clients, test
 
 
-def fl_training_loss(clients: Sequence[ClientState]) -> float:
-    """Mean over clients of each local model's mean cross-entropy on its shard."""
-    return float(
-        np.mean([federation.model_test(c.local_model, c.data, "mean") for c in clients])
-    )
+def fl_training_loss(
+    clients: Sequence[ClientState], scored: Optional[Dict[int, Tuple[ModelParams, float]]] = None
+) -> float:
+    """Mean over clients of each local model's mean cross-entropy on its shard.
+
+    ``scored`` maps a client id to the last ``(model, loss)`` pair scored for
+    it and is updated in place.  A client whose ``local_model`` is that very
+    object is not scored again; its shard must be the one scored before.
+    """
+    scored = {} if scored is None else scored
+    losses = []
+    for c in clients:
+        model, loss = scored.get(c.id, (None, 0.0))
+        if model is not c.local_model:
+            loss = federation.model_test(c.local_model, c.data, "mean")
+            scored[c.id] = (c.local_model, loss)
+        losses.append(loss)
+    return float(np.mean(losses))
 
 
 def _local_baseline_round(
@@ -269,6 +284,8 @@ def run(cfg: ExperimentConfig) -> RunResult:
     prng = np.random.default_rng(seeds["participation"])
     messages: List[MessageRecord] = []
     metrics: List[RoundMetrics] = []
+    # Clients that sat a round out keep their model, so their loss is reused.
+    scored: Dict[int, Tuple[ModelParams, float]] = {}
     start = time.perf_counter()
     try:
         for t in range(1, cfg.rounds + 1):
@@ -283,7 +300,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
             else:
                 server, clients, cred = federated_round(server, clients, sgd, participants, messages)
                 acc = learner.accuracy(server.global_model, test)
-            metrics.append(RoundMetrics(t, acc, fl_training_loss(clients), cred))
+            metrics.append(RoundMetrics(t, acc, fl_training_loss(clients, scored), cred))
     except RoundError as exc:
         exc.partial_metrics = tuple(metrics)
         raise

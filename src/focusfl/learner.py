@@ -14,9 +14,10 @@ there is no autograd dependency.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -146,11 +147,12 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch, np.concatenate(chunks))
 
 
-def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray]) -> np.ndarray:
+def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray], shift: np.ndarray) -> np.ndarray:
     """Forward pass writing into ``outs``; returns the probabilities, ``outs[-1]``.
 
     ``outs`` holds one ``(rows, width)`` array per layer: the tanh output of
     each hidden layer, then the softmax (computed with the usual max-shift).
+    ``shift`` is ``(rows,)`` scratch for the row maxima and normalisers.
     """
     a = x
     for (w, b), out in zip(layers[:-1], outs):
@@ -161,16 +163,22 @@ def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray]) -> np.ndarray:
     probs = outs[-1]
     np.matmul(a, w, out=probs)
     probs += b
-    probs -= probs.max(axis=1, keepdims=True)
+    # The row max, taken column by column: the class axis is only a few
+    # entries wide, and one elementwise call per column costs far less than
+    # a reduction along it.  max is exact, so this equals probs.max(axis=1).
+    np.maximum(probs[:, 0], probs[:, 1], out=shift)
+    for j in range(2, probs.shape[1]):
+        np.maximum(shift, probs[:, j], out=shift)
+    probs -= shift[:, None]
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=1, out=shift)[:, None]
     return probs
 
 
 def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities of the network for the batch ``x``, in fresh arrays."""
     outs = [np.empty((x.shape[0], width)) for width in arch.layer_dims[1:]]
-    return _forward_into(_layer_views(arch, values), x, outs)
+    return _forward_into(_layer_views(arch, values), x, outs, np.empty(x.shape[0]))
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
@@ -181,7 +189,7 @@ def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
     not validated; callers pass arrays whose shapes already agree.
     """
     n = y.shape[0]
-    loss = -float(np.log(np.clip(probs[np.arange(n), y], PROB_FLOOR, None)).sum())
+    loss = -float(np.log(np.maximum(probs[np.arange(n), y], PROB_FLOOR)).sum())
     return loss / n if reduction == "mean" else loss
 
 
@@ -225,25 +233,31 @@ def predict_proba(m: ModelParams, x) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def _loss_grad_into(layers, grad_layers, x, y, outs, backs, reduction: str) -> float:
-    """Cross-entropy of one batch; writes its gradient into ``grad_layers``.
+def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """``(n, num_classes)`` float64 rows with a 1.0 in each label's column."""
+    onehot = np.zeros((labels.shape[0], num_classes))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    return onehot
 
+
+def _backward_into(layers, grad_layers, x, onehot, outs, backs, reduction: str) -> None:
+    """Cross-entropy gradient of one batch, written into ``grad_layers``.
+
+    ``outs`` holds the batch's forward pass (see :func:`_forward_into`) and
+    ``onehot`` its labels; ``backs`` is scratch, one array per hidden layer.
+    The probabilities and hidden outputs in ``outs`` are overwritten.
     ``layers``/``grad_layers`` are (W, b) views of the parameter and gradient
-    vectors.  ``outs`` (see :func:`_forward_into`) and ``backs`` (one array per
-    hidden layer) are scratch of the batch's row count.  Nothing is validated.
+    vectors.  Nothing is validated.
     """
-    n = x.shape[0]
-    probs = _forward_into(layers, x, outs)
-    loss = cross_entropy(probs, y, reduction)
-    delta = probs  # the probabilities are not needed once the loss is taken
-    delta[np.arange(n), y] -= 1.0
+    delta = outs[-1]
+    delta -= onehot  # exact: p - 0.0 == p off the label column
     if reduction == "mean":
-        delta /= n
+        delta /= x.shape[0]
     acts = [x, *outs[:-1]]
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
         np.matmul(acts[i].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
             # d(tanh)/dz = 1 - tanh^2, from the tanh output in acts[i], which
             # nothing reads after this step.
@@ -251,7 +265,6 @@ def _loss_grad_into(layers, grad_layers, x, y, outs, backs, reduction: str) -> f
             np.subtract(1.0, a, out=a)
             delta = np.matmul(delta, layers[i][0].T, out=backs[i - 1])
             delta *= a
-    return loss
 
 
 def loss_and_grad(m: ModelParams, batch: Dataset, reduction: str = "mean") -> Tuple[float, np.ndarray]:
@@ -268,33 +281,42 @@ def loss_and_grad(m: ModelParams, batch: Dataset, reduction: str = "mean") -> Tu
     outs = [np.empty((n, width)) for width in arch.layer_dims[1:]]
     backs = [np.empty((n, h)) for h in arch.hidden_dims]
     layers, grad_layers = _layer_views(arch, m.values), _layer_views(arch, grad)
-    loss = _loss_grad_into(layers, grad_layers, batch.features, batch.labels, outs, backs, reduction)
+    probs = _forward_into(layers, batch.features, outs, np.empty(n))
+    loss = cross_entropy(probs, batch.labels, reduction)
+    onehot = _one_hot(batch.labels, arch.num_classes)
+    _backward_into(layers, grad_layers, batch.features, onehot, outs, backs, reduction)
     return loss, grad
 
 
-def _batch_indices(n: int, batch_size: Union[int, str], rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield mini-batch index arrays forever.
+def _minibatches(features, onehot, batch_size: int, rng: np.random.Generator):
+    """Yield ``(features, onehot)`` mini-batches forever.
 
-    Full-batch mode always yields every index.  Mini-batch mode walks a fresh
-    random permutation per epoch in contiguous chunks, keeping the short tail
-    chunk so every sample is visited once per epoch.
+    Each epoch walks a fresh random permutation in contiguous chunks, keeping
+    the short tail chunk so every sample is visited once per epoch.  Every
+    batch is gathered into the same two buffers; a short chunk fills their
+    leading rows.
     """
-    if batch_size == "full" or batch_size >= n:
-        full = np.arange(n)
-        while True:
-            yield full
-    else:
-        while True:
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                yield order[start : start + batch_size]
+    n = features.shape[0]
+    x_buf, t_buf = np.empty((batch_size, features.shape[1])), np.empty((batch_size, onehot.shape[1]))
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            rows = idx.size
+            # mode="clip" only spares np.take the copy "raise" makes; idx is in range.
+            yield (
+                np.take(features, idx, axis=0, out=x_buf[:rows], mode="clip"),
+                np.take(onehot, idx, axis=0, out=t_buf[:rows], mode="clip"),
+            )
 
 
 def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     """Run exactly ``cfg.local_steps`` SGD steps on ``d`` starting from ``m0``.
 
     Each step computes the mean-reduced cross-entropy gradient on the current
-    mini-batch and moves parameters by ``-learning_rate * grad``.  ``m0`` is
+    mini-batch and moves parameters by ``-learning_rate * grad``.  Full-batch
+    mode (also any ``batch_size >= d.n``) uses every row on every step;
+    mini-batch mode walks a seeded random permutation per epoch.  ``m0`` is
     untouched; a fresh ``ModelParams`` is returned.  A non-finite loss or a
     non-finite parameter vector raises :class:`TrainingDivergenceError` with
     the offending step index.
@@ -304,21 +326,28 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     values = m0.values.copy()
     grad = np.empty_like(values)
     layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
+    onehot = _one_hot(d.labels, arch.num_classes)
     # Steps reuse these buffers rather than allocate temporaries; a short
     # last mini-batch uses their leading rows.
-    rows = d.n if cfg.batch_size == "full" else min(cfg.batch_size, d.n)
-    x_buf, y_buf = np.empty((rows, arch.input_dim)), np.empty(rows, dtype=np.int64)
+    full = cfg.batch_size == "full" or cfg.batch_size >= d.n
+    rows = d.n if full else cfg.batch_size
     outs = [np.empty((rows, width)) for width in arch.layer_dims[1:]]
     backs = [np.empty((rows, h)) for h in arch.hidden_dims]
-    batches = _batch_indices(d.n, cfg.batch_size, np.random.default_rng(int(cfg.seed)))
+    shift = np.empty(rows)
+    if full:
+        batches = itertools.repeat((d.features, onehot))
+    else:
+        batches = _minibatches(d.features, onehot, rows, np.random.default_rng(int(cfg.seed)))
     for step in range(1, cfg.local_steps + 1):
-        idx = next(batches)
-        n = idx.size
-        # mode="clip" only spares np.take the copy "raise" makes; idx is in range.
-        x = np.take(d.features, idx, axis=0, out=x_buf[:n], mode="clip")
-        y = np.take(d.labels, idx, out=y_buf[:n], mode="clip")
-        loss = _loss_grad_into(layers, grad_layers, x, y, [o[:n] for o in outs], [b[:n] for b in backs], "mean")
-        if not math.isfinite(loss):
+        x, t = next(batches)
+        n = x.shape[0]
+        step_outs, step_backs = ([o[:n] for o in outs], [b[:n] for b in backs]) if n < rows else (outs, backs)
+        _forward_into(layers, x, step_outs, shift[:n])
+        _backward_into(layers, grad_layers, x, t, step_outs, step_backs, "mean")
+        # Every row adds into the last output-bias gradient, and a softmax
+        # row is either all finite or all nan, so this entry is finite
+        # exactly when the batch loss is.
+        if not math.isfinite(grad[-1]):
             raise TrainingDivergenceError(f"non-finite training loss at step {step}", step=step)
         grad *= cfg.learning_rate
         values -= grad

@@ -8,6 +8,7 @@ to run experiments and to read their artifacts back, must exist too.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -44,3 +45,19 @@ def test_every_name_the_benchmark_calls_exists():
     ]
     missing = [f"{module.__name__}.{attr}" for module, attr in called if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_traced_functions_keep_the_leading_parameters_the_tracer_reads():
+    """``Tracer._count`` reads these arguments by position; a reorder would
+    silently corrupt the per-layer counts."""
+    import focusfl
+
+    leading = {
+        (focusfl.learner, "client_update"): ["m0", "d", "cfg"],
+        (focusfl.federation, "model_test"): ["m", "d"],
+        (focusfl.federation, "aggregate"): ["models", "w"],
+        (focusfl.harness, "fl_training_loss"): ["clients"],
+    }
+    for (module, attr), names in leading.items():
+        params = list(inspect.signature(getattr(module, attr)).parameters)
+        assert params[: len(names)] == names, f"{module.__name__}.{attr}{params}"

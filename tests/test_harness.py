@@ -68,6 +68,10 @@ class TestExperimentConfig:
                 ExperimentConfig(alpha=alpha)
         with pytest.raises(ConfigurationError, match="hidden layer widths"):
             ExperimentConfig(hidden_dims=(0,), dataset_file="data.csv")
+        with pytest.raises(ConfigurationError, match="at least one target client"):
+            ExperimentConfig(noise=(NoiseSpec(kind="randomize", fraction=0.5),))
+        with pytest.raises(ConfigurationError, match="noise targets client 9 but there are only 4 clients"):
+            ExperimentConfig(noise=(NoiseSpec(kind="randomize", fraction=0.5, target_clients=(9,)),))
 
     def test_dataset_file_config_ignores_synthetic_shape_fields(self):
         """The file decides dim and num_classes, so their values are not checked."""
@@ -205,6 +209,23 @@ class TestRun:
         )
         np.testing.assert_allclose(result.metrics[0].fl_loss, manual, atol=1e-15)
         assert fl_training_loss(trained_clients) == pytest.approx(manual)
+
+    def test_fl_loss_rescores_only_clients_whose_model_changed(self, monkeypatch):
+        """A client that sat a round out keeps its model, so its loss is reused."""
+        from focusfl import federation
+
+        scored = []
+        real_model_test = federation.model_test
+
+        def counting_model_test(m, d, reduction="mean"):
+            scored.append(m)
+            return real_model_test(m, d, reduction)
+
+        monkeypatch.setattr(federation, "model_test", counting_model_test)
+        run(fast_config(aggregator="fedavg", participation_fraction=0.5, rounds=5))
+        # FedAvg scores nothing itself, so every call is for the FL loss: all
+        # four initial models in round 1, then each round's two participants.
+        assert len(scored) == 4 + 4 * 2
 
     def test_partial_participation_runs_and_keeps_simplex(self):
         result = run(fast_config(participation_fraction=0.5, rounds=6))

@@ -1,5 +1,8 @@
 """Unit tests for the from-scratch classifier and its SGD loop."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -262,7 +265,33 @@ class TestClientUpdate:
         d = Dataset(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0, 1]), 2)
         with pytest.raises(TrainingDivergenceError) as excinfo:
             client_update(m0, d, SgdConfig(learning_rate=0.1, local_steps=5))
-        assert 1 <= excinfo.value.step <= 5
+        assert excinfo.value.step == 1
+        assert str(excinfo.value) == "non-finite training loss at step 1"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_matches_a_loss_and_grad_replay(self):
+        """client_update stops at the first step whose batch loss is non-finite.
+
+        The reference replays the same batches through ``loss_and_grad``.
+        Learning rates and weights near the float64 overflow edge make runs
+        diverge at various steps, or end with non-finite parameters, or
+        finish cleanly; every outcome and message must match.
+        """
+        seen = set()
+        for seed in range(300):
+            m0, d, cfg = _overflow_case(seed)
+            expected = _reference_outcome(m0, d, cfg)
+            try:
+                outcome = ("ok", client_update(m0, d, cfg).values.tobytes(), None)
+            except TrainingDivergenceError as exc:
+                outcome = ("raise", str(exc), exc.step)
+            assert outcome == expected, f"case {seed}"
+            if outcome[1] == f"non-finite training loss at step {outcome[2]}":
+                seen.add((cfg.batch_size == "full", bool(m0.arch.hidden_dims), outcome[2] > 1))
+        # Full batch and mini-batch, with and without a hidden layer, each
+        # diverged after step 1, and some case diverged at step 1.
+        assert {(full, hidden, True) for full in (True, False) for hidden in (True, False)} <= seen
+        assert any(not later for _, _, later in seen)
 
     def test_rejects_empty_data_and_bad_config(self):
         arch = ArchSpec(3, (), 2)
@@ -276,6 +305,46 @@ class TestClientUpdate:
             SgdConfig(learning_rate=0.1, local_steps=0)
         with pytest.raises(InvalidInputError):
             SgdConfig(learning_rate=0.1, local_steps=1, batch_size="half")
+
+
+def _overflow_case(seed):
+    """A small training problem whose learning rate and weights sit near overflow."""
+    rng = np.random.default_rng(seed)
+    classes, dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    arch = ArchSpec(dim, () if rng.random() < 0.5 else (int(rng.integers(2, 9)),), classes)
+    n = int(rng.integers(3, 12))
+    d = Dataset(rng.standard_normal((n, dim)) * 10 ** rng.uniform(0, 3), rng.integers(0, classes, n), classes)
+    m0 = ModelParams(arch, init_params(arch, seed).values * 10 ** rng.uniform(280, 308))
+    batch_size = "full" if rng.random() < 0.5 else int(rng.integers(1, n))
+    cfg = SgdConfig(float(10 ** rng.uniform(304, 308.2)), int(rng.integers(1, 9)), batch_size, seed)
+    return m0, d, cfg
+
+
+def _reference_outcome(m0, d, cfg):
+    """What ``client_update`` must do, replayed step by step with ``loss_and_grad``.
+
+    Returns ``("ok", final value bytes, None)`` or ``("raise", message, step)``.
+    The replay carries raw parameter vectors, which may go non-finite, so
+    ``loss_and_grad`` gets a plain namespace rather than a ``ModelParams``.
+    """
+    if cfg.batch_size == "full" or cfg.batch_size >= d.n:
+        batches = itertools.repeat(np.arange(d.n))
+    else:
+        order = np.random.default_rng(cfg.seed)
+        batches = (
+            perm[start : start + cfg.batch_size]
+            for perm in map(order.permutation, itertools.repeat(d.n))
+            for start in range(0, d.n, cfg.batch_size)
+        )
+    values = m0.values.copy()
+    for step in range(1, cfg.local_steps + 1):
+        loss, grad = loss_and_grad(SimpleNamespace(arch=m0.arch, values=values), d.subset(next(batches)))
+        if not np.isfinite(loss):
+            return ("raise", f"non-finite training loss at step {step}", step)
+        values = values - cfg.learning_rate * grad
+    if not np.all(np.isfinite(values)):
+        return ("raise", f"non-finite parameters after step {cfg.local_steps}", cfg.local_steps)
+    return ("ok", values.tobytes(), None)
 
 
 class TestAccuracy:

@@ -23,7 +23,7 @@ from focusfl.federation import (
     save_model,
 )
 from focusfl.harness import AGGREGATORS, ExperimentConfig
-from focusfl.learner import ArchSpec, ModelParams, SgdConfig, init_params
+from focusfl.learner import ArchSpec, ModelParams, SgdConfig, forward, init_params
 
 # Derandomized so a tier-1 run is repeatable; examples stay few to keep it fast.
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -222,3 +222,41 @@ def test_model_checkpoint_round_trips_bit_for_bit(m):
     back = _round_trip(save_model, load_model, m)
     assert back.arch == m.arch
     assert back.values.tobytes() == m.values.tobytes()
+
+
+def _reference_forward(arch, values, x):
+    """The forward pass with the softmax shift taken by ``max(axis=1)``."""
+    dims, pos, a = arch.layer_dims, 0, x
+    for i in range(len(dims) - 1):
+        w = values[pos : pos + dims[i] * dims[i + 1]].reshape(dims[i], dims[i + 1])
+        pos += w.size
+        b = values[pos : pos + dims[i + 1]]
+        pos += b.size
+        a = a @ w + b
+        if i < len(dims) - 2:
+            a = np.tanh(a)
+    p = np.exp(a - a.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+# Output biases at or beyond the overflow edge put +-inf and nan into some
+# logit columns; huge features push single rows over the edge as well.
+_bias_entries = st.floats(-10, 10) | st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308])
+
+
+@FEW
+@given(st.data(), st.sampled_from((2, 3, 4, 10)), st.sampled_from(((), (3,))), st.integers(1, 12))
+def test_forward_equals_the_max_shift_reference_bit_for_bit(data, classes, hidden, rows):
+    arch = ArchSpec(classes, hidden, classes)
+    n_weights = arch.parameter_count() - classes
+    if hidden:
+        weights = data.draw(st.lists(finite, min_size=n_weights, max_size=n_weights))
+    else:  # the logits are then exactly features + bias
+        weights = np.eye(classes).ravel()
+    bias = data.draw(st.lists(_bias_entries, min_size=classes, max_size=classes))
+    values = np.concatenate([weights, bias])
+    x = np.array(data.draw(st.lists(any_finite, min_size=rows * classes, max_size=rows * classes)))
+    x = x.reshape(rows, classes)
+    with np.errstate(all="ignore"):
+        got, want = forward(arch, values, x), _reference_forward(arch, values, x)
+    assert got.tobytes() == want.tobytes()

@@ -211,17 +211,14 @@ def cmd_repro(args: argparse.Namespace) -> int:
     run_dirs = [_run_dir_for(cfg, args.out) for _, cfg in runs]
     for run_dir in run_dirs:  # before running anything, so a refusal leaves no half scenario
         _refuse_existing(run_dir, args.force)
-    if len(runs) == 2:
-        report = harness.compare(runs[0][1], runs[1][1])
-        results = [report.result_a, report.result_b]
-    else:
-        results = [harness.run(runs[0][1])]
+    results = harness.run_many([cfg for _, cfg in runs])
     print(f"scenario {args.scenario} (master_seed {results[0].config.master_seed})")
     for (label, _), result, run_dir in zip(runs, results, run_dirs):
         harness.write_run_result(result, run_dir)
         _print_run_summary(label, result, run_dir)
     if len(runs) == 2:
-        print(f"final accuracy delta ({runs[0][0]} - {runs[1][0]}): {report.final_accuracy_delta:+.4f}")
+        delta = results[0].final_accuracy - results[1].final_accuracy
+        print(f"final accuracy delta ({runs[0][0]} - {runs[1][0]}): {delta:+.4f}")
     return 0
 
 

@@ -59,6 +59,10 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "num_classes", int(self.num_classes))
 
+    def __reduce__(self):
+        # Unpickle through the constructor, so the arrays come back frozen.
+        return (type(self), (self.features, self.labels, self.num_classes))
+
     @property
     def n(self) -> int:
         return self.features.shape[0]

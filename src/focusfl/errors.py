@@ -50,3 +50,7 @@ class RoundError(FocusFlError):
         super().__init__(message)
         self.round_index = round_index
         self.partial_metrics = partial_metrics
+
+    def __reduce__(self):
+        # The default rebuilds from ``args`` alone, which lack ``round_index``.
+        return (type(self), (str(self), self.round_index, self.partial_metrics))

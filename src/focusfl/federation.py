@@ -154,6 +154,10 @@ class CredReport:
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # Unpickle through the constructor, so the arrays come back frozen.
+        return (type(self), (self.client_ids, self.ls, self.ll, self.e, self.c, self.w))
+
 
 @dataclass(frozen=True)
 class MessageRecord:

@@ -9,8 +9,11 @@ and batch schedules.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -356,8 +359,7 @@ def compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonRepor
     label_a, label_b = cfg_a.aggregator, cfg_b.aggregator
     if label_a == label_b:
         label_a, label_b = f"{label_a}-a", f"{label_b}-b"
-    result_a = run(cfg_a)
-    result_b = run(cfg_b)
+    result_a, result_b = run_many((cfg_a, cfg_b))
     rows: List[Tuple[str, int, float, float]] = []
     for label, result in ((label_a, result_a), (label_b, result_b)):
         for m in result.metrics:
@@ -378,7 +380,83 @@ def seed_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> Tuple[RunResult, 
     """Run the same config under several master seeds."""
     if not seeds:
         raise InvalidInputError("seed_sweep requires at least one seed")
-    return tuple(run(replace(cfg, master_seed=int(s))) for s in seeds)
+    return run_many([replace(cfg, master_seed=int(s)) for s in seeds])
+
+
+# ---------------------------------------------------------------------------
+# Independent runs in parallel
+# ---------------------------------------------------------------------------
+
+
+def _workers(jobs: int, cpus: int) -> int:
+    """Processes for ``jobs`` independent runs on ``cpus`` cores: at most one per job and per core."""
+    return max(1, min(jobs, cpus))
+
+
+def _blas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS bundled with NumPy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _run_in_worker(cfg: ExperimentConfig) -> RunResult:
+    # The pool pickles its callable by name, and ``run`` may have been wrapped.
+    return run(cfg)
+
+
+def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
+    """Run independent configs, several at a time where the host allows.
+
+    With ``n`` usable cores (at most one per config), this process runs
+    ``cfgs[0::n]`` itself and a pool of ``n - 1`` forked processes runs the
+    rest.  Meanwhile OpenBLAS is pinned to one thread, so the processes do
+    not oversubscribe the cores; the old count is restored afterwards.  The
+    configs run one after another in this process instead when there is one
+    core, no CPU affinity mask (off Linux), no OpenBLAS thread count to set,
+    or another live Python thread, which would make forking unsafe.  Either
+    way the results come back in input order, and a failure surfaces as in
+    a serial loop: the first failing config in input order raises its own
+    exception.
+    """
+    cfgs = tuple(cfgs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = _workers(len(cfgs), cpus)
+    blas = _blas_threads() if n > 1 and threading.active_count() == 1 else None
+    if blas is None:
+        return tuple(run(cfg) for cfg in cfgs)
+
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            jobs = {i: pool.submit(_run_in_worker, cfg) for i, cfg in enumerate(cfgs) if i % n}
+            try:
+                for i in range(0, len(cfgs), n):
+                    jobs[i] = Future()
+                    try:
+                        jobs[i].set_result(run(cfgs[i]))
+                    except Exception as exc:  # raised below, after every earlier config
+                        jobs[i].set_exception(exc)
+                        break
+                return tuple(jobs[i].result() for i in range(len(cfgs)))
+            finally:
+                for job in jobs.values():
+                    job.cancel()
+    finally:
+        set_threads(threads)
 
 
 # ---------------------------------------------------------------------------

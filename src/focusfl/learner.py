@@ -84,6 +84,10 @@ class ModelParams:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):
+        # Unpickle through the constructor, so the vector comes back frozen.
+        return (type(self), (self.arch, self.values))
+
 
 @dataclass(frozen=True)
 class SgdConfig:

@@ -18,7 +18,7 @@ import pytest
 from focusfl.cli import main
 from focusfl.data import Dataset, NoiseSpec
 from focusfl.federation import aggregate, aggregation_weights, credibilities
-from focusfl.harness import ExperimentConfig, run
+from focusfl.harness import ExperimentConfig, run_many
 from focusfl.learner import ArchSpec, ModelParams, init_params, loss_and_grad
 
 SEEDS = tuple(range(10))
@@ -62,15 +62,21 @@ def multi_tier_config(seed):
 def battery():
     """All paired runs for criteria 5-8 (and audited by 4 and 11)."""
     t0 = time.perf_counter()
-    noisy = {s: {"focus": run(noisy_config(s, "focus")), "fedavg": run(noisy_config(s, "fedavg"))} for s in SEEDS}
+    noisy = paired_runs(noisy_config)
     noisy_seconds = time.perf_counter() - t0
-    normal = {s: {"focus": run(normal_config(s, "focus")), "fedavg": run(normal_config(s, "fedavg"))} for s in SEEDS}
+    normal = paired_runs(normal_config)
     return {"noisy": noisy, "normal": normal, "noisy_seconds": noisy_seconds}
+
+
+def paired_runs(make_config):
+    """``{seed: {"focus": result, "fedavg": result}}``, run through ``run_many``."""
+    results = iter(run_many([make_config(s, agg) for s in SEEDS for agg in ("focus", "fedavg")]))
+    return {s: {agg: next(results) for agg in ("focus", "fedavg")} for s in SEEDS}
 
 
 @pytest.fixture(scope="module")
 def multi_tier():
-    return {s: run(multi_tier_config(s)) for s in SEEDS}
+    return dict(zip(SEEDS, run_many([multi_tier_config(s) for s in SEEDS])))
 
 
 class TestAcceptance:

@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import pytest
 
+from focusfl import harness
 from focusfl.cli import _scenario_runs
 from focusfl.data import NoiseSpec
-from focusfl.harness import ExperimentConfig, run, write_run_result
+from focusfl.harness import ExperimentConfig, run, run_many, write_run_result
 
 ARTIFACTS = ("metrics.csv", "credibility.csv", "model.bin")
 
@@ -92,8 +93,8 @@ CASES = {
 CASES.update({f"mixed/{agg}": replace(MIXED, aggregator=agg) for agg in ("focus", "fedavg", "local_baseline")})
 
 
-def _digests(cfg, run_dir):
-    write_run_result(run(cfg), run_dir)
+def _digests(result, run_dir):
+    write_run_result(result, run_dir)
     out = {}
     for name in ARTIFACTS:
         path = run_dir / name
@@ -103,4 +104,13 @@ def _digests(cfg, run_dir):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_pins(case, tmp_path):
-    assert _digests(CASES[case], tmp_path) == PINS[case]
+    assert _digests(run(CASES[case]), tmp_path) == PINS[case]
+
+
+def test_run_many_matches_the_pins(tmp_path, monkeypatch):
+    """Every pinned config, run through the parallel path, writes the pinned bytes."""
+    monkeypatch.setattr(harness, "_workers", lambda jobs, cpus: 2)
+    names = sorted(CASES)
+    results = run_many([CASES[case] for case in names])
+    got = {case: _digests(result, tmp_path / case.replace("/", "-")) for case, result in zip(names, results)}
+    assert got == {case: PINS[case] for case in names}

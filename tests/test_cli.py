@@ -126,6 +126,15 @@ class TestCmdRun:
         assert (run_dir / "model.bin").exists()
         assert "final accuracy" in capsys.readouterr().out
 
+    def test_stdout_is_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FOCUS_SEED", raising=False)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.replace(str(out), "<out>") == (
+            "focus: 3 rounds, final accuracy 0.7167, final fl_loss 0.640488 -> <out>/d735620d763c\n"
+            "focus: final client weights [0.2460 0.2576 0.2458 0.2507]\n"
+        )
+
     def test_rerun_refuses_without_force(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -238,6 +247,19 @@ class TestCmdRepro:
         assert len(run_dirs) == 1
         payload = json.loads((run_dirs[0] / "result.json").read_text())
         assert payload["config"]["num_clients"] == 3
+
+    def test_usc_noisy_stdout_is_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FOCUS_SEED", raising=False)
+        out = tmp_path / "out"
+        assert main(["repro", "usc-noisy", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.replace(str(out), "<out>") == (
+            "scenario usc-noisy (master_seed 0)\n"
+            "focus: 50 rounds, final accuracy 0.7400, final fl_loss 0.038590 -> <out>/eb46a94a59f7\n"
+            "focus: final client weights [0.0675 0.3108 0.3108 0.3109]\n"
+            "fedavg: 50 rounds, final accuracy 0.6850, final fl_loss 0.019513 -> <out>/925688971243\n"
+            "fedavg: final client weights [0.2500 0.2500 0.2500 0.2500]\n"
+            "final accuracy delta (focus - fedavg): +0.0550\n"
+        )
 
     def test_existing_run_dir_refuses_before_running_anything(self, tmp_path, monkeypatch, capsys):
         """A pair whose second run dir exists writes neither run."""

@@ -250,6 +250,22 @@ class TestCsvFormat:
         first = path.read_text().splitlines()[0]
         assert first == "f0,f1,label"
 
+    def test_bytes_are_pinned(self, tmp_path):
+        d = Dataset(np.array([[0.1, -2.5], [1e-17, 1.0 / 3.0], [-0.0, 1e22]]), np.array([1, 0, 1]), 2)
+        path = tmp_path / "pinned.csv"
+        save_csv(d, str(path))
+        assert path.read_bytes() == (
+            b"f0,f1,label\n0.1,-2.5,1\n1e-17,0.3333333333333333,0\n-0.0,1e+22,1\n"
+        )
+
+    def test_blank_lines_and_crlf_line_ends_are_accepted(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"f0,f1,label\r\n0.5,-1.25,1\r\n\r\n2.0,3.0,0\r\n")
+        d = load_csv(str(path))
+        np.testing.assert_array_equal(d.features, [[0.5, -1.25], [2.0, 3.0]])
+        np.testing.assert_array_equal(d.labels, [1, 0])
+        assert d.num_classes == 2
+
     def test_num_classes_inferred_from_labels_when_absent(self, tmp_path):
         d = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 2]), 5)
         path = tmp_path / "labels.csv"

@@ -2,6 +2,9 @@
 
 A refactor or speed-up must leave every digest here unchanged.  A change
 that alters numerics on purpose updates the pins and says why.
+
+``report_long.csv`` is what ``focusfl report`` writes from a run dir; it is
+pinned for the usc-noisy pair, one run with client weights and one without.
 """
 
 import hashlib
@@ -10,11 +13,9 @@ from dataclasses import replace
 import pytest
 
 from focusfl import harness
-from focusfl.cli import _scenario_runs
+from focusfl.cli import _scenario_runs, main
 from focusfl.data import NoiseSpec
 from focusfl.harness import ExperimentConfig, run, run_many, write_run_result
-
-ARTIFACTS = ("metrics.csv", "credibility.csv", "model.bin")
 
 # Minibatch, partial participation and pairwise-flip noise in one small
 # config.  Uneven client proportions make FedAvg's per-round renormalised
@@ -46,11 +47,13 @@ PINS = {
         "metrics.csv": "8f31a47b05a123d15b5d33e15039ed7dbbb9ad4ee70091500d3f319fe806af31",
         "credibility.csv": "d140fe1fb563c92a5ae76c2b9779803252062045e581a5d40029d0c534d01f41",
         "model.bin": "9e08ffb873c175dcbc83d2b7048889663ae5d83ee69e5c293827c9ac2f21df41",
+        "report_long.csv": "7c9f3fc44b332f2c9d9975b3be2f158a13f14677daf73b6bfaa8d06a92817928",
     },
     "usc-noisy/fedavg": {
         "metrics.csv": "7394989d3c787ba69d5298bdd5b74ea1ec45c0a8e493b83099e5839b5e6bfa2c",
         "credibility.csv": None,
         "model.bin": "6e72b801d54fa4c725946f29470fc3c3a180011ddc7a44b5ba55325ad8f6660b",
+        "report_long.csv": "35f73985f4a5b3b623883840f7c986ab6a0b736a39d63790a771497e9dae64ae",
     },
     "usc-normal/focus": {
         "metrics.csv": "9da761cec882dac869c67b48f9208f477f754ad399477f924de0c20551211225",
@@ -93,10 +96,12 @@ CASES = {
 CASES.update({f"mixed/{agg}": replace(MIXED, aggregator=agg) for agg in ("focus", "fedavg", "local_baseline")})
 
 
-def _digests(result, run_dir):
+def _digests(result, run_dir, names):
+    """sha256 of each named file in the run dir after writing and reporting it."""
     write_run_result(result, run_dir)
+    assert main(["report", str(run_dir)]) == 0
     out = {}
-    for name in ARTIFACTS:
+    for name in names:
         path = run_dir / name
         out[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
     return out
@@ -104,7 +109,7 @@ def _digests(result, run_dir):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_pins(case, tmp_path):
-    assert _digests(run(CASES[case]), tmp_path) == PINS[case]
+    assert _digests(run(CASES[case]), tmp_path, PINS[case]) == PINS[case]
 
 
 def test_run_many_matches_the_pins(tmp_path, monkeypatch):
@@ -112,5 +117,7 @@ def test_run_many_matches_the_pins(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_workers", lambda jobs, cpus: 2)
     names = sorted(CASES)
     results = run_many([CASES[case] for case in names])
-    got = {case: _digests(result, tmp_path / case.replace("/", "-")) for case, result in zip(names, results)}
+    got = {
+        case: _digests(result, tmp_path / case.replace("/", "-"), PINS[case]) for case, result in zip(names, results)
+    }
     assert got == {case: PINS[case] for case in names}

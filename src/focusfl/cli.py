@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from . import harness
-from .data import NoiseSpec
+from .data import NoiseSpec, write_csv
 from .errors import ConfigurationError, FocusFlError
 from .harness import ExperimentConfig, RunResult
 
@@ -151,14 +151,14 @@ def _apply_env_seed(cfg: ExperimentConfig) -> ExperimentConfig:
 
 # --- canned scenarios --------------------------------------------------------
 
-def _scenario_runs(name: str) -> List[Tuple[str, ExperimentConfig]]:
-    """Configs for one canned comparison, labeled for printing."""
+def _scenario_runs(name: str) -> List[ExperimentConfig]:
+    """Configs for one canned comparison."""
     if name in ("usc-noisy", "usc-normal"):
         noise: Tuple[NoiseSpec, ...] = ()
         if name == "usc-noisy":
             noise = (NoiseSpec(kind="randomize", fraction=1.0, target_clients=(0,), seed=99),)
         base = ExperimentConfig(noise=noise)
-        return [("focus", base), ("fedavg", replace(base, aggregator="fedavg"))]
+        return [base, replace(base, aggregator="fedavg")]
     if name == "multi-tier":
         cfg = ExperimentConfig(
             samples_per_class=200,
@@ -167,59 +167,46 @@ def _scenario_runs(name: str) -> List[Tuple[str, ExperimentConfig]]:
             benchmark_fraction=1.0 / 7.0,
             noise=(NoiseSpec(kind="randomize", fraction=0.5, target_clients=(2,), seed=99),),
         )
-        return [("focus", cfg)]
+        return [cfg]
     raise ConfigurationError(f"unknown scenario {name!r}; choose from {_SCENARIOS}")
 
 
-# --- output helpers ----------------------------------------------------------
+# --- runs on disk -----------------------------------------------------------
 
-def _run_dir_for(cfg: ExperimentConfig, out: str) -> Path:
-    return Path(out) / harness.config_hash(cfg)
-
-
-def _refuse_existing(run_dir: Path, force: bool) -> None:
-    if (run_dir / "result.json").exists() and not force:
-        raise ConfigurationError(
-            f"{run_dir} already contains a completed run; pass --force to overwrite"
+def _run_to_disk(cfgs: List[ExperimentConfig], args: argparse.Namespace, heading: Optional[str] = None) -> int:
+    """Run ``cfgs`` into ``<out>/<config hash>/`` and print each result, labeled by its aggregator."""
+    run_dirs = [Path(args.out) / harness.config_hash(cfg) for cfg in cfgs]
+    for run_dir in run_dirs:  # before running anything, so a refusal leaves no half scenario
+        if (run_dir / "result.json").exists() and not args.force:
+            raise ConfigurationError(f"{run_dir} already contains a completed run; pass --force to overwrite")
+    results = harness.run_many(cfgs)
+    if heading is not None:
+        print(heading)
+    for result, run_dir in zip(results, run_dirs):
+        harness.write_run_result(result, run_dir)
+        label = result.config.aggregator
+        print(
+            f"{label}: {len(result.metrics)} rounds, final accuracy {result.final_accuracy:.4f}, "
+            f"final fl_loss {result.final_fl_loss:.6f} -> {run_dir}"
         )
-
-
-def _print_run_summary(label: str, result: RunResult, run_dir: Path) -> None:
-    print(
-        f"{label}: {len(result.metrics)} rounds, final accuracy {result.final_accuracy:.4f}, "
-        f"final fl_loss {result.final_fl_loss:.6f} -> {run_dir}"
-    )
-    if result.final_weights is not None:
-        weights = " ".join(f"{w:.4f}" for w in result.final_weights)
-        print(f"{label}: final client weights [{weights}]")
+        if result.final_weights is not None:
+            weights = " ".join(f"{w:.4f}" for w in result.final_weights)
+            print(f"{label}: final client weights [{weights}]")
+    if len(results) == 2:
+        delta = results[0].final_accuracy - results[1].final_accuracy
+        print(f"final accuracy delta ({cfgs[0].aggregator} - {cfgs[1].aggregator}): {delta:+.4f}")
+    return 0
 
 
 # --- subcommands -------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_env_seed(load_config(args.config))
-    run_dir = _run_dir_for(cfg, args.out)
-    _refuse_existing(run_dir, args.force)
-    result = harness.run(cfg)
-    harness.write_run_result(result, run_dir)
-    _print_run_summary(cfg.aggregator, result, run_dir)
-    return 0
+    return _run_to_disk([_apply_env_seed(load_config(args.config))], args)
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
-    runs = [(label, _apply_env_seed(cfg)) for label, cfg in _scenario_runs(args.scenario)]
-    run_dirs = [_run_dir_for(cfg, args.out) for _, cfg in runs]
-    for run_dir in run_dirs:  # before running anything, so a refusal leaves no half scenario
-        _refuse_existing(run_dir, args.force)
-    results = harness.run_many([cfg for _, cfg in runs])
-    print(f"scenario {args.scenario} (master_seed {results[0].config.master_seed})")
-    for (label, _), result, run_dir in zip(runs, results, run_dirs):
-        harness.write_run_result(result, run_dir)
-        _print_run_summary(label, result, run_dir)
-    if len(runs) == 2:
-        delta = results[0].final_accuracy - results[1].final_accuracy
-        print(f"final accuracy delta ({runs[0][0]} - {runs[1][0]}): {delta:+.4f}")
-    return 0
+    cfgs = [_apply_env_seed(cfg) for cfg in _scenario_runs(args.scenario)]
+    return _run_to_disk(cfgs, args, heading=f"scenario {args.scenario} (master_seed {cfgs[0].master_seed})")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -245,22 +232,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     for k in clients:
         header += f"  {f'w_client{k}':>10}"
     print(header)
-    long_rows: List[str] = ["series,round,value"]
+    long_rows: List[Tuple[str, int, float]] = []
     for rnd, acc, loss in metrics:
         line = f"{rnd:>5}  {acc:>10.6f}  {loss:>12.6f}"
         for k in clients:
             w = weights_by_round.get(rnd, {}).get(k)
             line += f"  {w:>10.6f}" if w is not None else f"  {'-':>10}"
         print(line)
-        long_rows.append(f"accuracy,{rnd},{repr(float(acc))}")
-        long_rows.append(f"fl_loss,{rnd},{repr(float(loss))}")
+        long_rows.append(("accuracy", rnd, acc))
+        long_rows.append(("fl_loss", rnd, loss))
     for k in clients:
         for rnd, _, _ in metrics:
             w = weights_by_round.get(rnd, {}).get(k)
             if w is not None:
-                long_rows.append(f"weight_client_{k},{rnd},{repr(float(w))}")
+                long_rows.append((f"weight_client_{k}", rnd, w))
     long_path = run_dir / LONG_CSV_NAME
-    long_path.write_text("\n".join(long_rows) + "\n", encoding="utf-8")
+    write_csv(long_path, "series,round,value", long_rows)
     print(f"wrote {long_path}")
     return 0
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from pathlib import Path
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -292,18 +293,51 @@ def inject_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def save_csv(d: Dataset, path: str) -> None:
-    """Write ``d`` as CSV with header ``f0,...,f{dim-1},label``.
+# Every CSV focusfl writes holds floats, except in these columns.
+_CSV_COLUMN_TYPES = {"round": int, "client": int, "label": int, "series": str}
 
-    Floats are written with ``repr``, which round-trips float64 exactly.
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``header``, then one line per row, with ``\\n`` line ends.
+
+    Each cell is ``str`` of its column's type, which for a float is ``repr``:
+    it round-trips float64 exactly, so a rerun writes the same bytes.
     """
-    lines = [",".join([f"f{j}" for j in range(d.dim)] + ["label"])]
-    for i in range(d.n):
-        row = [repr(float(v)) for v in d.features[i]]
-        row.append(str(int(d.labels[i])))
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    types = [_CSV_COLUMN_TYPES.get(name, float) for name in header.split(",")]
+    lines = [header, *(",".join(str(kind(v)) for kind, v in zip(types, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_csv(path, header: Optional[str] = None) -> Tuple[str, List[tuple]]:
+    """The header and the typed rows of a file written by :func:`write_csv`.
+
+    Blank lines and whitespace around a line are ignored, so CRLF line ends
+    read too.  When ``header`` is given, the file's header must equal it.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not lines:
+        raise InvalidInputError(f"{path}: empty file")
+    _, first = lines[0]
+    if header is not None and first != header:
+        raise InvalidInputError(f"{path}: malformed header {first!r}, expected {header!r}")
+    types = [_CSV_COLUMN_TYPES.get(name, float) for name in first.split(",")]
+    rows = []
+    for lineno, line in lines[1:]:
+        try:
+            rows.append(tuple(kind(cell) for kind, cell in zip(types, line.split(","), strict=True)))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
+    return first, rows
+
+
+def _dataset_header(dim: int) -> str:
+    return ",".join([f"f{j}" for j in range(dim)] + ["label"])
+
+
+def save_csv(d: Dataset, path: str) -> None:
+    """Write ``d`` as CSV with header ``f0,...,f{dim-1},label``."""
+    write_csv(path, _dataset_header(d.dim), [(*x, y) for x, y in zip(d.features.tolist(), d.labels.tolist())])
 
 
 def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
@@ -312,25 +346,12 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
     ``num_classes`` defaults to ``max(label) + 1`` (but at least 2) when not
     given, since the CSV carries no class count of its own.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InvalidInputError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
-    if header[-1] != "label" or any(h != f"f{j}" for j, h in enumerate(header[:-1])):
-        raise InvalidInputError(f"{path}: malformed header {lines[0]!r}")
-    dim = len(header) - 1
-    features = np.empty((len(lines) - 1, dim))
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise InvalidInputError(f"{path}: row {i + 2} has {len(cells)} cells, expected {dim + 1}")
-        try:
-            features[i] = [float(c) for c in cells[:-1]]
-            labels[i] = int(cells[-1])
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: row {i + 2} is not numeric: {exc}") from exc
+    header, rows = read_csv(path)
+    dim = header.count(",")
+    if header != _dataset_header(dim):
+        raise InvalidInputError(f"{path}: malformed header {header!r}")
+    features = np.array([row[:-1] for row in rows], dtype=np.float64).reshape(len(rows), dim)
+    labels = np.array([row[-1] for row in rows], dtype=np.int64)
     if num_classes is None:
         num_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
     return Dataset(features, labels, num_classes)

@@ -22,7 +22,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import federation, learner
-from .data import Dataset, NoiseSpec, PartitionPlan, inject_noise, load_binary, load_csv, partition, synth_blobs
+from .data import (
+    DATASET_MAGIC,
+    Dataset,
+    NoiseSpec,
+    PartitionPlan,
+    inject_noise,
+    load_binary,
+    load_csv,
+    partition,
+    read_csv,
+    synth_blobs,
+    write_csv,
+)
 from .errors import ConfigurationError, InvalidInputError, RoundError, TrainingDivergenceError
 from .federation import (
     ClientState,
@@ -39,8 +51,6 @@ AGGREGATORS = ("focus", "fedavg", "local_baseline")
 
 METRICS_CSV_HEADER = "round,accuracy,fl_loss"
 CRED_CSV_HEADER = "round,client,ls,ll,e,c,w"
-# Columns of the run CSVs that hold integers; every other column is a float.
-_INT_COLUMNS = ("round", "client")
 
 
 @dataclass(frozen=True)
@@ -183,8 +193,8 @@ def derive_seeds(master_seed: int) -> Dict[str, int]:
 
 def _load_dataset_file(path: str) -> Dataset:
     with open(path, "rb") as fh:
-        head = fh.read(len(b"FOCUSDS1"))
-    if head == b"FOCUSDS1":
+        head = fh.read(len(DATASET_MAGIC))
+    if head == DATASET_MAGIC:
         return load_binary(path)
     return load_csv(path)
 
@@ -477,28 +487,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """``header``, then one line per row: ints in the integer columns, ``repr`` floats elsewhere."""
-    ints = [name in _INT_COLUMNS for name in header.split(",")]
-    lines = [",".join(str(int(v)) if is_int else repr(float(v)) for is_int, v in zip(ints, row)) for row in rows]
-    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
-
-
-def _read_csv(path, header: str) -> List[tuple]:
-    """Rows of a file written by :func:`_write_csv` with the same ``header``."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != header:
-        raise InvalidInputError(f"{path}: malformed header, expected {header!r}")
-    parsers = [int if name in _INT_COLUMNS else float for name in header.split(",")]
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append(tuple(parse(cell) for parse, cell in zip(parsers, line.split(","), strict=True)))
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed row {line!r}: {exc}") from exc
-    return rows
-
-
 def write_run_result(result: RunResult, run_dir) -> None:
     """Write metrics.csv, credibility.csv, result.json, and the checkpoint.
 
@@ -510,7 +498,7 @@ def write_run_result(result: RunResult, run_dir) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     metrics_rows = [(m.round, m.test_accuracy, m.fl_loss) for m in result.metrics]
-    _write_csv(run_dir / "metrics.csv", METRICS_CSV_HEADER, metrics_rows)
+    write_csv(run_dir / "metrics.csv", METRICS_CSV_HEADER, metrics_rows)
     cred_rows = [
         (m.round, k, m.cred.ls[j], m.cred.ll[j], m.cred.e[j], m.cred.c[j], m.cred.w[j])
         for m in result.metrics
@@ -518,7 +506,7 @@ def write_run_result(result: RunResult, run_dir) -> None:
         for j, k in enumerate(m.cred.client_ids)
     ]
     if cred_rows:
-        _write_csv(run_dir / "credibility.csv", CRED_CSV_HEADER, cred_rows)
+        write_csv(run_dir / "credibility.csv", CRED_CSV_HEADER, cred_rows)
 
     checkpoint = None
     if result.final_model is not None:
@@ -541,9 +529,9 @@ def write_run_result(result: RunResult, run_dir) -> None:
 
 def load_metrics_csv(path) -> List[Tuple[int, float, float]]:
     """Read a metrics.csv back into (round, accuracy, fl_loss) tuples."""
-    return _read_csv(path, METRICS_CSV_HEADER)
+    return read_csv(path, METRICS_CSV_HEADER)[1]
 
 
 def load_credibility_csv(path) -> List[Tuple[int, int, float, float, float, float, float]]:
     """Read a credibility.csv back into (round, client, ls, ll, e, c, w) tuples."""
-    return _read_csv(path, CRED_CSV_HEADER)
+    return read_csv(path, CRED_CSV_HEADER)[1]

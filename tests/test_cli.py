@@ -265,7 +265,7 @@ class TestCmdRepro:
         """A pair whose second run dir exists writes neither run."""
         monkeypatch.delenv("FOCUS_SEED", raising=False)
         out = tmp_path / "out"
-        (_, focus_cfg), (_, fedavg_cfg) = _scenario_runs("usc-normal")
+        focus_cfg, fedavg_cfg = _scenario_runs("usc-normal")
         fedavg_dir = out / harness.config_hash(fedavg_cfg)
         fedavg_dir.mkdir(parents=True)
         (fedavg_dir / "result.json").write_text("{}")

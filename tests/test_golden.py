@@ -89,9 +89,9 @@ PINS = {
 
 
 CASES = {
-    f"{scenario}/{label}": replace(cfg, master_seed=0)
+    f"{scenario}/{cfg.aggregator}": replace(cfg, master_seed=0)
     for scenario in ("usc-noisy", "usc-normal", "multi-tier")
-    for label, cfg in _scenario_runs(scenario)
+    for cfg in _scenario_runs(scenario)
 }
 CASES.update({f"mixed/{agg}": replace(MIXED, aggregator=agg) for agg in ("focus", "fedavg", "local_baseline")})
 

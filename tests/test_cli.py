@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from focusfl import harness
+from focusfl import federation, harness
 from focusfl.cli import _scenario_runs, main, parse_config_text
 from focusfl.data import save_csv, synth_blobs
 from focusfl.errors import ConfigurationError
@@ -23,6 +23,10 @@ rounds = 3
 aggregator = focus
 master_seed = 0
 """
+
+
+def fail_to_save(model, path):
+    raise OSError("disk full")
 
 
 def write_config(tmp_path, text=FAST_CONFIG, name="exp.cfg"):
@@ -183,6 +187,40 @@ class TestCmdRun:
             code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "round" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_run_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(federation, "save_model", fail_to_save)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_failed_forced_rewrite_keeps_the_old_run(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        # A rerun writes the same bytes, so mark the old run to tell them apart.
+        with open(run_dir / "metrics.csv", "a") as fh:
+            fh.write("old run\n")
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        monkeypatch.setattr(federation, "save_model", fail_to_save)
+        assert main(["run", "--config", config, "--out", str(out), "--force"]) == 3
+        assert list(out.iterdir()) == [run_dir]
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+
+    def test_forced_rewrite_replaces_the_old_run(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        fresh = (run_dir / "metrics.csv").read_bytes()
+        (run_dir / "metrics.csv").write_bytes(fresh + b"old run\n")
+        (run_dir / "stale.txt").write_text("left by the old run")
+        assert main(["run", "--config", config, "--out", str(out), "--force"]) == 0
+        assert list(out.iterdir()) == [run_dir]
+        assert (run_dir / "metrics.csv").read_bytes() == fresh
+        assert not (run_dir / "stale.txt").exists()
 
     def test_env_seed_overrides_master_seed(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)

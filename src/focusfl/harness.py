@@ -418,9 +418,20 @@ def _blas_threads():
     return None
 
 
+class _WorkerFailure(Exception):
+    """Carries ``(exception, its __cause__)`` out of a pool worker.
+
+    The pool pickles a raised exception without its cause and sets the
+    worker's traceback text as the cause instead, so the cause travels apart.
+    """
+
+
 def _run_in_worker(cfg: ExperimentConfig) -> RunResult:
     # The pool pickles its callable by name, and ``run`` may have been wrapped.
-    return run(cfg)
+    try:
+        return run(cfg)
+    except Exception as exc:
+        raise _WorkerFailure(exc, exc.__cause__) from None
 
 
 def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
@@ -461,7 +472,14 @@ def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
                     except Exception as exc:  # raised below, after every earlier config
                         jobs[i].set_exception(exc)
                         break
-                return tuple(jobs[i].result() for i in range(len(cfgs)))
+                results = []
+                for i in range(len(cfgs)):
+                    try:
+                        results.append(jobs[i].result())
+                    except _WorkerFailure as failure:
+                        exc, cause = failure.args
+                        raise exc from cause
+                return tuple(results)
             finally:
                 for job in jobs.values():
                     job.cancel()

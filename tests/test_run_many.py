@@ -14,7 +14,7 @@ import pytest
 
 from focusfl import harness
 from focusfl.data import Dataset, NoiseSpec
-from focusfl.errors import RoundError
+from focusfl.errors import RoundError, TrainingDivergenceError
 from focusfl.federation import CredReport
 from focusfl.harness import ExperimentConfig, RoundMetrics, run, run_many, seed_sweep
 from focusfl.learner import ArchSpec, init_params
@@ -171,6 +171,9 @@ class TestRunMany:
         assert str(parallel.value) == str(serial.value)
         assert parallel.value.round_index == serial.value.round_index
         assert parallel.value.partial_metrics == serial.value.partial_metrics
+        # The pool rebuilds an exception with its own cause; the run's cause must survive.
+        assert type(parallel.value.__cause__) is type(serial.value.__cause__) is TrainingDivergenceError
+        assert parallel.value.__cause__.step == serial.value.__cause__.step
 
     def test_a_pool_failure_before_a_local_one_wins(self, two_workers, tmp_path):
         missing = ExperimentConfig(**FAST, dataset_file=str(tmp_path / "missing.csv"))

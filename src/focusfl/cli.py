@@ -172,7 +172,7 @@ def _scenario_runs(name: str) -> List[ExperimentConfig]:
     raise ConfigurationError(f"unknown scenario {name!r}; choose from {_SCENARIOS}")
 
 
-# --- runs on disk -----------------------------------------------------------
+# --- runs on disk ------------------------------------------------------------
 
 def _write_whole(result: RunResult, run_dir: Path) -> None:
     """Write a run so that ``run_dir`` holds all of it or none of it.

@@ -324,8 +324,11 @@ def read_csv(path, header: Optional[str] = None) -> Tuple[str, List[tuple]]:
     types = [_CSV_COLUMN_TYPES.get(name, float) for name in first.split(",")]
     rows = []
     for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(types):
+            raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {len(cells)} cells, not {len(types)}")
         try:
-            rows.append(tuple(kind(cell) for kind, cell in zip(types, line.split(","), strict=True)))
+            rows.append(tuple(kind(cell) for kind, cell in zip(types, cells)))
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
     return first, rows

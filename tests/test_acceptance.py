@@ -18,7 +18,7 @@ import pytest
 from focusfl.cli import main
 from focusfl.data import Dataset, NoiseSpec
 from focusfl.federation import aggregate, aggregation_weights, credibilities
-from focusfl.harness import ExperimentConfig, run_many
+from focusfl.harness import ExperimentConfig, build_scenario, run_many
 from focusfl.learner import ArchSpec, ModelParams, init_params, loss_and_grad
 
 SEEDS = tuple(range(10))
@@ -29,6 +29,16 @@ def record(capsys, num, name, ok, detail):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
+
+
+def rows_in_test_set(make_config):
+    """Rows in the test set of a battery scenario, the same for every seed."""
+    return build_scenario(make_config(0, "focus"))[2].n
+
+
+def in_rows(gap, rows):
+    """An accuracy gap as a count of test rows; accuracy moves in steps of 1/rows."""
+    return f"{round(gap * rows, 1):g} of {rows} rows"
 
 
 def noisy_config(seed, aggregator):
@@ -192,12 +202,14 @@ class TestAcceptance:
         wins = sum(g >= 0.02 for g in gaps)
         elapsed = battery["noisy_seconds"]
         ok = wins >= 9 and elapsed < 300.0
+        rows = rows_in_test_set(noisy_config)
         record(
             capsys,
             5,
             "noisy-scenario-direction",
             ok,
-            f"{wins}/10 seeds with gap >= 2pp, min {min(gaps):+.3f}, median {np.median(gaps):+.3f}, {elapsed:.0f}s",
+            f"{wins}/10 seeds with gap >= 2pp, min {min(gaps):+.3f} ({in_rows(min(gaps), rows)}), "
+            f"median {np.median(gaps):+.3f} ({in_rows(np.median(gaps), rows)}), {elapsed:.0f}s",
         )
 
     def test_06_normal_scenario_parity(self, capsys, battery):
@@ -209,7 +221,14 @@ class TestAcceptance:
         ]
         close = sum(d <= 0.01 for d in diffs)
         ok = close >= 9
-        record(capsys, 6, "normal-scenario-parity", ok, f"{close}/10 seeds within 1pp, max |diff| {max(diffs):.3f}")
+        rows = rows_in_test_set(normal_config)
+        record(
+            capsys,
+            6,
+            "normal-scenario-parity",
+            ok,
+            f"{close}/10 seeds within 1pp, max |diff| {max(diffs):.3f} ({in_rows(max(diffs), rows)})",
+        )
 
     def test_07_weight_suppression(self, capsys, battery):
         """The randomized client's final weight falls below half the clean

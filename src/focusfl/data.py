@@ -315,22 +315,22 @@ def read_csv(path, header: Optional[str] = None) -> Tuple[str, List[tuple]]:
     read too.  When ``header`` is given, the file's header must equal it.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        raise InvalidInputError(f"{path}: empty file")
-    _, first = lines[0]
-    if header is not None and first != header:
-        raise InvalidInputError(f"{path}: malformed header {first!r}, expected {header!r}")
-    types = [_CSV_COLUMN_TYPES.get(name, float) for name in first.split(",")]
-    rows = []
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(types):
-            raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {len(cells)} cells, not {len(types)}")
-        try:
-            rows.append(tuple(kind(cell) for kind, cell in zip(types, cells)))
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
+        lines = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip())
+        _, first = next(lines, (0, ""))
+        if header is not None and first != header:
+            raise InvalidInputError(f"{path}: malformed header {first!r}, expected {header!r}")
+        types = [_CSV_COLUMN_TYPES.get(name, float) for name in first.split(",")]
+        rows = []
+        for lineno, line in lines:
+            cells = line.split(",")
+            if len(cells) != len(types):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: malformed row {line!r}: {len(cells)} cells, expected {len(types)}"
+                )
+            try:
+                rows.append(tuple(kind(cell) for kind, cell in zip(types, cells)))
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
     return first, rows
 
 
@@ -353,8 +353,8 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
     dim = header.count(",")
     if header != _dataset_header(dim):
         raise InvalidInputError(f"{path}: malformed header {header!r}")
-    features = np.array([row[:-1] for row in rows], dtype=np.float64).reshape(len(rows), dim)
-    labels = np.array([row[-1] for row in rows], dtype=np.int64)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), dim + 1)
+    features, labels = table[:, :-1], table[:, -1].astype(np.int64)
     if num_classes is None:
         num_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
     return Dataset(features, labels, num_classes)

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from focusfl import federation
+from focusfl.cli import main
 from focusfl.data import NoiseSpec
 from focusfl.errors import ConfigurationError, InvalidInputError, RoundError
 from focusfl.federation import CredReport, load_model, model_test
@@ -234,6 +236,16 @@ class TestRun:
             assert len(m.cred.client_ids) == 2
         np.testing.assert_allclose(sum(result.final_weights), 1.0, atol=1e-9)
 
+    def test_local_baseline_trains_every_client_whatever_the_participation(self):
+        """Characterizes ``local_baseline``: it never communicates, so it
+        trains every client each round and ignores ``participation_fraction``."""
+        full, half = (
+            run(fast_config(aggregator="local_baseline", participation_fraction=p)) for p in (1.0, 0.5)
+        )
+        assert [(m.test_accuracy, m.fl_loss) for m in half.metrics] == [
+            (m.test_accuracy, m.fl_loss) for m in full.metrics
+        ]
+
     def test_round_failure_carries_partial_metrics(self):
         with pytest.raises(RoundError) as excinfo:
             with np.errstate(all="ignore"):
@@ -280,6 +292,10 @@ class TestSweep:
     def test_empty_seed_list_is_rejected(self):
         with pytest.raises(InvalidInputError):
             seed_sweep(fast_config(), seeds=[])
+
+
+def fail_to_save(model, path):
+    raise OSError("disk full")
 
 
 class TestRunOutput:
@@ -331,6 +347,44 @@ class TestRunOutput:
         write_run_result(result, out)
         assert not (out / "credibility.csv").exists()
         assert (out / "metrics.csv").exists()
+
+    def test_rewrite_replaces_the_whole_run_dir(self, tmp_path, capsys):
+        """A baseline written over a focus run keeps none of its files."""
+        out = tmp_path / "rundir"
+        write_run_result(run(fast_config()), out)
+        write_run_result(run(fast_config(aggregator="local_baseline")), out)
+        assert not (out / "credibility.csv").exists()
+        assert not (out / "model.bin").exists()
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "w_client" not in capsys.readouterr().out
+
+    def test_failed_write_leaves_no_run_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(federation, "save_model", fail_to_save)
+        out = tmp_path / "rundir"
+        with pytest.raises(OSError, match="disk full"):
+            write_run_result(run(fast_config()), out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_old_run(self, tmp_path, monkeypatch):
+        result = run(fast_config())
+        out = tmp_path / "rundir"
+        write_run_result(result, out)
+        # A rewrite of the same result writes the same bytes, so mark the old run.
+        with open(out / "metrics.csv", "a") as fh:
+            fh.write("old run\n")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        monkeypatch.setattr(federation, "save_model", fail_to_save)
+        with pytest.raises(OSError, match="disk full"):
+            write_run_result(result, out)
+        assert list(tmp_path.iterdir()) == [out]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_missing_parent_dirs_are_created(self, tmp_path):
+        out = tmp_path / "a" / "b" / "rundir"
+        write_run_result(run(fast_config(rounds=1)), out)
+        assert (out / "result.json").exists()
+        assert list((tmp_path / "a" / "b").iterdir()) == [out]
 
     def test_malformed_metrics_file_is_rejected(self, tmp_path):
         bad = tmp_path / "metrics.csv"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_o
 from . import harness
 from .data import NoiseSpec, write_csv
 from .errors import ConfigurationError, FocusFlError
-from .harness import ExperimentConfig, RunResult
+from .harness import ExperimentConfig
 
 ENV_SEED = "FOCUS_SEED"
 LONG_CSV_NAME = "report_long.csv"
@@ -174,26 +173,6 @@ def _scenario_runs(name: str) -> List[ExperimentConfig]:
 
 # --- runs on disk ------------------------------------------------------------
 
-def _write_whole(result: RunResult, run_dir: Path) -> None:
-    """Write a run so that ``run_dir`` holds all of it or none of it.
-
-    The files go to ``<run_dir>.tmp/``, which is renamed to ``run_dir`` once
-    every file is written.  An old run there is moved aside for the rename
-    and deleted only after it.
-    """
-    tmp, old = (run_dir.with_name(run_dir.name + suffix) for suffix in (".tmp", ".old"))
-    for stale in (tmp, old):  # left by a write that was killed
-        shutil.rmtree(stale, ignore_errors=True)
-    try:
-        harness.write_run_result(result, tmp)
-        if run_dir.exists():
-            run_dir.rename(old)
-        tmp.rename(run_dir)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(old, ignore_errors=True)
-
-
 def _run_to_disk(cfgs: List[ExperimentConfig], args: argparse.Namespace, heading: Optional[str] = None) -> int:
     """Run ``cfgs`` into ``<out>/<config hash>/`` and print each result, labeled by its aggregator."""
     run_dirs = [Path(args.out) / harness.config_hash(cfg) for cfg in cfgs]
@@ -204,7 +183,7 @@ def _run_to_disk(cfgs: List[ExperimentConfig], args: argparse.Namespace, heading
     if heading is not None:
         print(heading)
     for result, run_dir in zip(results, run_dirs):
-        _write_whole(result, run_dir)
+        harness.write_run_result(result, run_dir)
         label = result.config.aggregator
         print(
             f"{label}: {len(result.metrics)} rounds, final accuracy {result.final_accuracy:.4f}, "

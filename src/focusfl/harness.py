@@ -13,6 +13,7 @@ import ctypes
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
@@ -508,12 +509,29 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def write_run_result(result: RunResult, run_dir) -> None:
     """Write metrics.csv, credibility.csv, result.json, and the checkpoint.
 
+    The files go to ``<run_dir>.tmp/``, renamed to ``run_dir`` once all are
+    written, so ``run_dir`` holds the whole run or what it held before.  An
+    old directory there is replaced whole, and deleted only after the rename.
     CSV floats use ``repr``, so rerunning an identical config reproduces the
     files byte for byte.  ``credibility.csv`` is only written when at least
     one round produced a scoring report.
     """
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    tmp, old = (run_dir.with_name(run_dir.name + suffix) for suffix in (".tmp", ".old"))
+    for stale in (tmp, old):  # left by a write that was killed
+        shutil.rmtree(stale, ignore_errors=True)
+    try:
+        _write_run_files(result, tmp)
+        if run_dir.exists():
+            run_dir.rename(old)
+        tmp.rename(run_dir)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _write_run_files(result: RunResult, run_dir: Path) -> None:
+    run_dir.mkdir(parents=True)
 
     metrics_rows = [(m.round, m.test_accuracy, m.fl_loss) for m in result.metrics]
     write_csv(run_dir / "metrics.csv", METRICS_CSV_HEADER, metrics_rows)

@@ -7,10 +7,11 @@ deterministic given the seeds carried by the plan/spec objects.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -314,13 +315,20 @@ def read_csv(path, header: Optional[str] = None) -> Tuple[str, List[tuple]]:
     Blank lines and whitespace around a line are ignored, so CRLF line ends
     read too.  When ``header`` is given, the file's header must equal it.
     """
+    lines = _read_csv_lines(path, header)
+    first = next(lines)
+    return first, list(lines)
+
+
+def _read_csv_lines(path, header: Optional[str]) -> Iterator:
+    """Yield :func:`read_csv`'s header, then its rows one at a time."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip())
         _, first = next(lines, (0, ""))
         if header is not None and first != header:
             raise InvalidInputError(f"{path}: malformed header {first!r}, expected {header!r}")
+        yield first
         types = [_CSV_COLUMN_TYPES.get(name, float) for name in first.split(",")]
-        rows = []
         for lineno, line in lines:
             cells = line.split(",")
             if len(cells) != len(types):
@@ -328,10 +336,10 @@ def read_csv(path, header: Optional[str] = None) -> Tuple[str, List[tuple]]:
                     f"{path}:{lineno}: malformed row {line!r}: {len(cells)} cells, expected {len(types)}"
                 )
             try:
-                rows.append(tuple(kind(cell) for kind, cell in zip(types, cells)))
+                row = tuple(kind(cell) for kind, cell in zip(types, cells))
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
-    return first, rows
+            yield row
 
 
 def _dataset_header(dim: int) -> str:
@@ -349,11 +357,12 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
     ``num_classes`` defaults to ``max(label) + 1`` (but at least 2) when not
     given, since the CSV carries no class count of its own.
     """
-    header, rows = read_csv(path)
+    rows = _read_csv_lines(path, None)
+    header = next(rows)
     dim = header.count(",")
-    if header != _dataset_header(dim):
+    table = np.fromiter(itertools.chain.from_iterable(rows), np.float64).reshape(-1, dim + 1)
+    if header != _dataset_header(dim):  # after the rows, so a bad row is reported first
         raise InvalidInputError(f"{path}: malformed header {header!r}")
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), dim + 1)
     features, labels = table[:, :-1], table[:, -1].astype(np.int64)
     if num_classes is None:
         num_classes = max(int(labels.max()) + 1, 2) if labels.size else 2

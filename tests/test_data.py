@@ -283,6 +283,10 @@ class TestCsvFormat:
         path.write_text("f0,f1,label\n1.0,x,0\n")
         with pytest.raises(InvalidInputError):
             load_csv(str(path))
+        # A bad header with a bad row reports the row.
+        path.write_text("f0,oops,label\n1.0,x,0\n")
+        with pytest.raises(InvalidInputError, match="malformed row"):
+            load_csv(str(path))
 
 
 class TestBinaryFormat:

@@ -61,7 +61,8 @@ class ExperimentConfig:
     Synthetic data is the default source; ``dataset_file`` (CSV or the binary
     container) overrides it, in which case the class count and feature width
     come from the file.  ``noise`` lists label corruptions applied to client
-    shards after partitioning.
+    shards after partitioning.  ``local_baseline`` never communicates, so
+    it trains every client each round and ignores ``participation_fraction``.
     """
 
     # data source

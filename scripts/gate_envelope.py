@@ -12,6 +12,7 @@ Usage: PYTHONPATH=src python scripts/gate_envelope.py [first_seed ...]
 (default first seeds: 10 20, i.e. seeds 10-19 and 20-29).
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -29,17 +30,14 @@ from test_acceptance import (  # noqa: E402
     rows_in_test_set,
 )
 
-AGGREGATORS = ("focus", "fedavg")
-
-
 def block_report(first_seed):
     """The lines for seeds ``first_seed`` to ``first_seed + 9``."""
     seeds = range(first_seed, first_seed + 10)
-    pairs = [(make, s, agg) for make in (noisy_config, normal_config) for s in seeds for agg in AGGREGATORS]
+    pairs = [(make, s, agg) for make in (noisy_config, normal_config) for s in seeds for agg in ("focus", "fedavg")]
     start = time.perf_counter()
     results = run_many([make(s, agg) for make, s, agg in pairs] + [multi_tier_config(s) for s in seeds])
     elapsed = time.perf_counter() - start
-    runs = {key: result for key, result in zip(pairs, results)}
+    runs = dict(zip(pairs, results))
     tiers = results[len(pairs):]
     noisy = [(runs[noisy_config, s, "focus"], runs[noisy_config, s, "fedavg"]) for s in seeds]
     normal = [(runs[normal_config, s, "focus"], runs[normal_config, s, "fedavg"]) for s in seeds]
@@ -75,7 +73,9 @@ def block_report(first_seed):
 
 
 def main(argv):
-    for first_seed in [int(arg) for arg in argv] or [10, 20]:
+    parser = argparse.ArgumentParser(description="Acceptance gates 05-09 on held-out blocks of ten seeds.")
+    parser.add_argument("first_seeds", nargs="*", type=int, default=[10, 20], help="first seed of each block")
+    for first_seed in parser.parse_args(argv).first_seeds:
         print("\n".join(block_report(first_seed)), flush=True)
     return 0
 

@@ -245,6 +245,9 @@ class NoiseSpec:
         if any(c < 0 for c in targets):
             raise InvalidInputError(f"target_clients must be non-negative, got {targets}")
         object.__setattr__(self, "target_clients", targets)
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "pairwise_flip":
             if not self.flip_map:
                 raise InvalidInputError("pairwise_flip requires a flip_map")

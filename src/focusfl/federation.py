@@ -73,17 +73,16 @@ class ClientState:
 class ServerState:
     """The server side of the protocol between rounds.
 
-    ``weights`` and ``credibilities`` are per-client vectors aligned with the
-    client list by position.  ``weights`` always sums to 1; ``round`` counts
-    completed rounds (0 before any round has run).  ``standardize_e`` selects
-    whether mutual cross-entropies are divided by their per-round mean before
-    the softmax (the default) or fed in raw.
+    ``weights`` is a per-client vector aligned with the client list by
+    position, and always sums to 1; ``round`` counts completed rounds (0
+    before any round has run).  ``standardize_e`` selects whether mutual
+    cross-entropies are divided by their per-round mean before the softmax
+    (the default) or fed in raw.
     """
 
     global_model: ModelParams
     benchmark: Dataset
     weights: np.ndarray
-    credibilities: np.ndarray
     alpha: float = 1.0
     reduction: str = "mean"
     standardize_e: bool = True
@@ -91,25 +90,18 @@ class ServerState:
 
     def __post_init__(self):
         weights = _frozen_f64(self.weights, "weights")
-        creds = _frozen_f64(self.credibilities, "credibilities")
-        if weights.shape != creds.shape or weights.size < 1:
-            raise InvalidInputError(
-                f"weights {weights.shape} and credibilities {creds.shape} must be "
-                "equal-length and non-empty"
-            )
+        if weights.size < 1:
+            raise InvalidInputError("weights must be non-empty")
         if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
             raise InvalidInputError(
                 f"weights must be non-negative and sum to 1, got sum {weights.sum()!r}"
             )
-        if np.any(creds < 0) or np.any(creds > 1):
-            raise InvalidInputError("credibilities must lie in [0, 1]")
         check_alpha(self.alpha)
         learner.check_reduction(self.reduction)
         if int(self.round) != self.round or self.round < 0:
             raise InvalidInputError(f"round must be a non-negative integer, got {self.round}")
         learner.check_fits(self.global_model.arch, self.benchmark, "benchmark set")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "credibilities", creds)
 
     @property
     def num_clients(self) -> int:
@@ -281,19 +273,15 @@ def init_server(
     """Server state before round 1.
 
     Initial weights are sample-proportional (``n_k / sum n``) since no
-    scoring has happened yet; initial credibilities are the no-information
-    value ``1 - 1/K`` (or 1 for a single client).
+    scoring has happened yet.
     """
     if not clients:
         raise InvalidInputError("at least one client is required")
     n = np.array([c.n_k for c in clients], dtype=np.float64)
-    k = len(clients)
-    creds = np.ones(k) if k == 1 else np.full(k, 1.0 - 1.0 / k)
     return ServerState(
         global_model=global_model,
         benchmark=benchmark,
         weights=n / n.sum(),
-        credibilities=creds,
         alpha=alpha,
         reduction=reduction,
         standardize_e=standardize_e,
@@ -360,7 +348,7 @@ def _round(
         if message_log is not None:
             message_log.extend(MessageRecord(t, "up", k, pcount, int(scoring)) for k in part)
 
-        updates = {}
+        weights = server.weights
         report = None
         if scoring:
             ls = np.array([model_test(m, server.benchmark, server.reduction) for m in local_models])
@@ -371,10 +359,7 @@ def _round(
             c_part = credibilities(e_scaled, server.alpha)
             w_part = aggregation_weights(n_part, c_part) * mass
             weights = np.array(server.weights)
-            creds = np.array(server.credibilities)
             weights[idx] = w_part
-            creds[idx] = c_part
-            updates = {"weights": weights, "credibilities": creds}
             report = CredReport(client_ids=part, ls=ls, ll=ll, e=e, c=c_part, w=w_part)
     except (TrainingDivergenceError, DegenerateCredibilityError) as exc:
         raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
@@ -382,7 +367,7 @@ def _round(
     new_clients = list(clients)
     for j, k in enumerate(part):
         new_clients[k] = replace(clients[k], local_model=local_models[j])
-    new_server = replace(server, global_model=new_global, round=t, **updates)
+    new_server = replace(server, global_model=new_global, round=t, weights=weights)
     return new_server, tuple(new_clients), report
 
 
@@ -399,8 +384,7 @@ def focus_round(
     the previous round); the weights computed here are stored for the *next*
     round.  With partial participation, only participants train and are
     re-scored; their previous collective weight mass is redistributed among
-    them for aggregation, and absent clients keep their stored weight and
-    credibility.
+    them for aggregation, and absent clients keep their stored weight.
 
     Training divergence and degenerate credibilities are re-raised as
     :class:`RoundError` with this round's 1-based index attached.

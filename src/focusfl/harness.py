@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -93,7 +93,11 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        for name, may_be_str in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if not (may_be_str and isinstance(value, str)):  # batch_size's "full" is checked below
+                object.__setattr__(self, name, _as_int(name, value))
+        object.__setattr__(self, "hidden_dims", tuple(_as_int("hidden_dims", h) for h in self.hidden_dims))
         object.__setattr__(self, "noise", tuple(self.noise))
         if self.client_proportions is not None:
             object.__setattr__(
@@ -101,13 +105,13 @@ class ExperimentConfig:
             )
         if self.aggregator not in AGGREGATORS:
             raise ConfigurationError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
-        if int(self.rounds) != self.rounds or self.rounds < 1:
+        if self.rounds < 1:
             raise ConfigurationError(f"rounds must be an integer >= 1, got {self.rounds}")
         if not (0.0 < self.participation_fraction <= 1.0):
             raise ConfigurationError(
                 f"participation_fraction must lie in (0, 1], got {self.participation_fraction}"
             )
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
+        if self.master_seed < 0:
             raise ConfigurationError(f"master_seed must be a non-negative integer, got {self.master_seed}")
         if any(not isinstance(ns, NoiseSpec) for ns in self.noise):
             raise ConfigurationError("noise must be a sequence of NoiseSpec values")
@@ -154,6 +158,25 @@ class ExperimentConfig:
         )
 
 
+# Each config field that holds an integer, mapped to whether it may hold a
+# string instead (``batch_size = "full"``).
+_INTEGER_FIELDS = {
+    name: str in get_args(tp)
+    for name, tp in get_type_hints(ExperimentConfig).items()
+    if tp is int or (get_origin(tp) is Union and int in get_args(tp))
+}
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int``, or a :class:`ConfigurationError` if it is not integral."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RoundMetrics:
     """What gets recorded after each round."""
@@ -173,12 +196,15 @@ class RunResult:
     final_model: Optional[ModelParams]
     final_weights: Optional[Tuple[float, ...]]
     duration_seconds: float
-    messages_per_round: float
     messages: Tuple[MessageRecord, ...] = ()
 
     @property
     def final_accuracy(self) -> float:
         return self.metrics[-1].test_accuracy
+
+    @property
+    def messages_per_round(self) -> float:
+        return len(self.messages) / len(self.metrics)
 
     @property
     def final_fl_loss(self) -> float:
@@ -332,27 +358,16 @@ def run(cfg: ExperimentConfig) -> RunResult:
         final_model=final_model,
         final_weights=final_weights,
         duration_seconds=duration,
-        messages_per_round=len(messages) / len(metrics),
         messages=tuple(messages),
     )
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Two runs of the same scenario under different aggregators, aligned.
+    """The runs of the two configs given to :func:`compare`, in that order."""
 
-    ``rows`` holds ``(label, round, accuracy, fl_loss)`` for every round of
-    both runs (2T rows); ``final_accuracy_delta`` is run A minus run B.
-    """
-
-    label_a: str
-    label_b: str
     result_a: RunResult
     result_b: RunResult
-    rows: Tuple[Tuple[str, int, float, float], ...]
-    final_accuracy_delta: float
-    final_weights_a: Optional[Tuple[float, ...]]
-    final_weights_b: Optional[Tuple[float, ...]]
 
 
 def compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonReport:
@@ -368,24 +383,7 @@ def compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonRepor
         raise InvalidInputError(
             f"configs may differ only in aggregator and noise; they also differ in {diff}"
         )
-    label_a, label_b = cfg_a.aggregator, cfg_b.aggregator
-    if label_a == label_b:
-        label_a, label_b = f"{label_a}-a", f"{label_b}-b"
-    result_a, result_b = run_many((cfg_a, cfg_b))
-    rows: List[Tuple[str, int, float, float]] = []
-    for label, result in ((label_a, result_a), (label_b, result_b)):
-        for m in result.metrics:
-            rows.append((label, m.round, m.test_accuracy, m.fl_loss))
-    return ComparisonReport(
-        label_a=label_a,
-        label_b=label_b,
-        result_a=result_a,
-        result_b=result_b,
-        rows=tuple(rows),
-        final_accuracy_delta=result_a.final_accuracy - result_b.final_accuracy,
-        final_weights_a=result_a.final_weights,
-        final_weights_b=result_b.final_weights,
-    )
+    return ComparisonReport(*run_many((cfg_a, cfg_b)))
 
 
 def seed_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> Tuple[RunResult, ...]:

@@ -7,6 +7,7 @@ without running the benchmark.  The names the benchmark calls directly,
 to run experiments and to read their artifacts back, must exist too.
 """
 
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -44,6 +45,30 @@ def test_every_name_the_benchmark_calls_exists():
         (focusfl.cli, "main"),
     ]
     missing = [f"{module.__name__}.{attr}" for module, attr in called if not callable(getattr(module, attr, None))]
+    assert missing == []
+
+
+def test_every_result_attribute_the_benchmark_reads_exists():
+    """``perfbench/run.py`` and ``checks.py`` read these fields and
+    properties of the run results; a removed one would fail only when the
+    benchmark runs."""
+    from focusfl.federation import CredReport, MessageRecord
+    from focusfl.harness import ComparisonReport, RoundMetrics, RunResult
+
+    read = {
+        RunResult: ["config", "metrics", "final_model", "final_weights", "messages", "final_accuracy"],
+        RoundMetrics: ["round", "test_accuracy", "fl_loss", "cred"],
+        CredReport: ["client_ids", "ls", "ll", "e", "c", "w"],
+        MessageRecord: ["direction", "param_count", "scalar_count"],
+        ComparisonReport: ["result_a", "result_b"],
+    }
+    missing = [
+        f"{cls.__name__}.{name}"
+        for cls, names in read.items()
+        for name in names
+        if name not in {f.name for f in dataclasses.fields(cls)}
+        and not isinstance(getattr(cls, name, None), property)
+    ]
     assert missing == []
 
 

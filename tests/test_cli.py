@@ -163,8 +163,15 @@ class TestCmdRun:
             "alpha = inf\n",
             "hidden_dims = 0\ndataset_file = {data}\n",
             "noise_kind = randomize\nnoise_fraction = 0.5\nnoise_clients = 9\n",
+            "noise_kind = randomize\nnoise_fraction = 0.5\nnoise_clients = 0\nnoise_seed = -1\n",
         ],
-        ids=["alpha-nan", "alpha-inf", "zero-width-with-dataset-file", "noise-target-out-of-range"],
+        ids=[
+            "alpha-nan",
+            "alpha-inf",
+            "zero-width-with-dataset-file",
+            "noise-target-out-of-range",
+            "noise-seed-negative",
+        ],
     )
     def test_values_a_run_would_reject_exit_two_before_running(self, tmp_path, capsys, extra):
         """Bad values that only a run used to reject (exit 3) are config errors."""

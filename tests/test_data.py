@@ -225,6 +225,9 @@ class TestInjectNoise:
             NoiseSpec(kind="pairwise_flip", fraction=0.5, flip_map={0: 1, 1: 2})  # not a permutation
         with pytest.raises(InvalidInputError):
             NoiseSpec(kind="randomize", fraction=0.5, flip_map={0: 1, 1: 0})
+        for seed in (-1, 2.5):
+            with pytest.raises(InvalidInputError, match="seed must be a non-negative integer"):
+                NoiseSpec(kind="randomize", fraction=0.5, seed=seed)
 
     def test_flip_map_outside_class_range_is_rejected(self):
         d = synth_blobs(2, 20, 3, 3.0, seed=6)

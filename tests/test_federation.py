@@ -251,17 +251,14 @@ class TestStateValidation:
         with pytest.raises(InvalidInputError):
             replace(server, weights=np.array([1.5, -0.5, 0.0]))
         with pytest.raises(InvalidInputError):
-            replace(server, credibilities=np.array([0.5, 0.5]))
-        with pytest.raises(InvalidInputError):
             replace(server, alpha=-1.0)
         with pytest.raises(InvalidInputError):
             replace(server, round=-1)
 
-    def test_init_server_uses_sample_proportions_and_neutral_credibility(self):
+    def test_init_server_uses_sample_proportions(self):
         server, clients = tiny_federation(k=4)
         n = np.array([c.n_k for c in clients], dtype=float)
         np.testing.assert_array_equal(server.weights, n / n.sum())
-        np.testing.assert_allclose(server.credibilities, np.full(4, 0.75), atol=1e-15)
         assert server.round == 0
 
     def test_cred_report_requires_exact_sum(self):
@@ -342,11 +339,7 @@ class TestFocusRound:
         server, clients = tiny_federation(seed=6, k=3)
         sgd = SgdConfig(learning_rate=0.25, local_steps=4, seed=2)
         perm = [2, 0, 1]
-        server_p = replace(
-            server,
-            weights=server.weights[perm],
-            credibilities=server.credibilities[perm],
-        )
+        server_p = replace(server, weights=server.weights[perm])
         clients_p = tuple(clients[i] for i in perm)
         s_a, _, rep_a = focus_round(server, clients, sgd)
         s_b, _, rep_b = focus_round(server_p, clients_p, sgd)
@@ -384,9 +377,8 @@ class TestFocusRound:
         sgd = SgdConfig(0.2, 3, seed=5)
         new_server, new_clients, report = focus_round(server, clients, sgd, participants=[0, 2])
         assert report.client_ids == (0, 2)
-        # absent clients keep their weight, credibility, and local model
+        # absent clients keep their weight and local model
         np.testing.assert_array_equal(new_server.weights[[1, 3]], server.weights[[1, 3]])
-        np.testing.assert_array_equal(new_server.credibilities[[1, 3]], server.credibilities[[1, 3]])
         assert np.array_equal(new_clients[1].local_model.values, clients[1].local_model.values)
         # total weight mass is conserved
         np.testing.assert_allclose(new_server.weights.sum(), 1.0, atol=1e-12)

@@ -70,10 +70,33 @@ class TestExperimentConfig:
                 ExperimentConfig(alpha=alpha)
         with pytest.raises(ConfigurationError, match="hidden layer widths"):
             ExperimentConfig(hidden_dims=(0,), dataset_file="data.csv")
+        with pytest.raises(ConfigurationError, match="hidden_dims must be an integer"):
+            ExperimentConfig(hidden_dims=(8.5,))
         with pytest.raises(ConfigurationError, match="at least one target client"):
             ExperimentConfig(noise=(NoiseSpec(kind="randomize", fraction=0.5),))
         with pytest.raises(ConfigurationError, match="noise targets client 9 but there are only 4 clients"):
             ExperimentConfig(noise=(NoiseSpec(kind="randomize", fraction=0.5, target_clients=(9,)),))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("num_classes", 4),
+            ("samples_per_class", 60),
+            ("dim", 8),
+            ("num_clients", 4),
+            ("local_steps", 5),
+            ("batch_size", 16),
+            ("rounds", 2),
+            ("master_seed", 3),
+        ],
+    )
+    def test_integer_fields_accept_integral_floats_only(self, name, value):
+        """An integral float is stored as the int, so the two hash alike."""
+        cfg = fast_config(**{name: float(value)})
+        assert type(getattr(cfg, name)) is int
+        assert config_hash(cfg) == config_hash(fast_config(**{name: value}))
+        with pytest.raises(ConfigurationError, match=name):
+            fast_config(**{name: value + 0.5})
 
     def test_dataset_file_config_ignores_synthetic_shape_fields(self):
         """The file decides dim and num_classes, so their values are not checked."""
@@ -264,24 +287,17 @@ class TestCompare:
 
     def test_alignment_and_delta(self):
         noise = (NoiseSpec(kind="randomize", fraction=1.0, target_clients=(0,), seed=1),)
-        report = compare(
-            fast_config(noise=noise), fast_config(aggregator="fedavg", noise=noise)
-        )
-        assert report.label_a == "focus" and report.label_b == "fedavg"
-        assert len(report.rows) == 2 * 4
-        assert {row[0] for row in report.rows} == {"focus", "fedavg"}
-        np.testing.assert_allclose(
-            report.final_accuracy_delta,
-            report.result_a.final_accuracy - report.result_b.final_accuracy,
-            atol=1e-15,
-        )
-        assert report.final_weights_a is not None
-        assert report.final_weights_b == (0.25, 0.25, 0.25, 0.25)
+        cfg_a, cfg_b = fast_config(noise=noise), fast_config(aggregator="fedavg", noise=noise)
+        report = compare(cfg_a, cfg_b)
+        assert (report.result_a.config, report.result_b.config) == (cfg_a, cfg_b)
+        assert report.result_a.final_weights is not None
+        assert report.result_b.final_weights == (0.25, 0.25, 0.25, 0.25)
 
-    def test_same_aggregator_twice_gets_distinct_labels(self):
+    def test_same_aggregator_with_different_noise_is_accepted_in_order(self):
         noise = (NoiseSpec(kind="randomize", fraction=0.5, target_clients=(0,), seed=1),)
-        report = compare(fast_config(), fast_config(noise=noise))
-        assert report.label_a == "focus-a" and report.label_b == "focus-b"
+        cfg_a, cfg_b = fast_config(), fast_config(noise=noise)
+        report = compare(cfg_a, cfg_b)
+        assert (report.result_a.config, report.result_b.config) == (cfg_a, cfg_b)
 
 
 class TestSweep:
@@ -338,6 +354,7 @@ class TestRunOutput:
         assert payload["final_accuracy"] == result.final_accuracy
         assert payload["rounds_completed"] == 4
         assert payload["checkpoint"] == "model.bin"
+        assert payload["messages_per_round"] == 8.0
         restored = load_model(str(out / "model.bin"))
         assert np.array_equal(restored.values, result.final_model.values)
 
@@ -405,7 +422,6 @@ def _write_cred_report(run_dir, round_index, report):
         final_model=None,
         final_weights=None,
         duration_seconds=0.0,
-        messages_per_round=0.0,
     )
     write_run_result(result, run_dir)
     return (run_dir / "credibility.csv").read_text(encoding="utf-8").splitlines()

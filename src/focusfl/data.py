@@ -15,7 +15,7 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, as_int, as_real, frozen_f64
 
 # Magic prefix of the binary dataset container (version 1).
 DATASET_MAGIC = b"FOCUSDS1"
@@ -32,34 +32,25 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = frozen_f64(self.features, "features", 2)
         labels = np.asarray(self.labels)
-        if features.ndim != 2:
-            raise InvalidInputError(f"features must be 2-D, got shape {features.shape}")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise InvalidInputError(
                 f"labels must be 1-D with one entry per row, got {labels.shape} for {features.shape[0]} rows"
             )
-        if not np.all(np.isfinite(features)):
-            raise InvalidInputError("features contain non-finite entries")
         if labels.size and not np.issubdtype(labels.dtype, np.integer):
             if not np.all(labels == labels.astype(np.int64)):
                 raise InvalidInputError("labels must be integers")
         labels = labels.astype(np.int64)
-        if int(self.num_classes) != self.num_classes or self.num_classes < 2:
-            raise InvalidInputError(f"num_classes must be an integer >= 2, got {self.num_classes}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
+        num_classes = as_int("num_classes", self.num_classes, 2)
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInputError(
-                f"labels must lie in [0, {self.num_classes}), got range "
-                f"[{labels.min()}, {labels.max()}]"
+                f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
             )
-        features = features.copy()
-        features.flags.writeable = False
-        labels = labels.copy()
         labels.flags.writeable = False
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "num_classes", int(self.num_classes))
+        object.__setattr__(self, "num_classes", num_classes)
 
     def __reduce__(self):
         # Unpickle through the constructor, so the arrays come back frozen.
@@ -152,8 +143,8 @@ class PartitionPlan:
     client_proportions: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if int(self.num_clients) != self.num_clients or self.num_clients < 1:
-            raise InvalidInputError(f"num_clients must be an integer >= 1, got {self.num_clients}")
+        object.__setattr__(self, "num_clients", as_int("num_clients", self.num_clients, 1))
+        object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
         if not (0.0 < self.benchmark_fraction < 1.0):
             raise InvalidInputError(
                 f"benchmark_fraction must lie in (0, 1), got {self.benchmark_fraction}"
@@ -161,7 +152,7 @@ class PartitionPlan:
         if not (0.0 < self.test_fraction < 1.0):
             raise InvalidInputError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.client_proportions is not None:
-            props = tuple(float(p) for p in self.client_proportions)
+            props = tuple(as_real("client_proportions", p) for p in self.client_proportions)
             if len(props) != self.num_clients:
                 raise InvalidInputError(
                     f"client_proportions has {len(props)} entries for {self.num_clients} clients"
@@ -193,7 +184,7 @@ def partition(d: Dataset, plan: PartitionPlan) -> Tuple[Tuple[Dataset, ...], Dat
     (up to row order).  Any empty part is rejected, since every part has a
     job downstream.
     """
-    rng = np.random.default_rng(int(plan.seed))
+    rng = np.random.default_rng(plan.seed)
     order = rng.permutation(d.n)
     n_test = int(round(plan.test_fraction * d.n))
     pool = d.n - n_test
@@ -239,19 +230,15 @@ class NoiseSpec:
             raise InvalidInputError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
         if not (0.0 <= self.fraction <= 1.0):
             raise InvalidInputError(f"noise fraction must lie in [0, 1], got {self.fraction}")
-        targets = tuple(int(c) for c in self.target_clients)
+        targets = tuple(as_int("target_clients", c, 0) for c in self.target_clients)
         if len(set(targets)) != len(targets):
             raise InvalidInputError(f"target_clients contains duplicates: {targets}")
-        if any(c < 0 for c in targets):
-            raise InvalidInputError(f"target_clients must be non-negative, got {targets}")
         object.__setattr__(self, "target_clients", targets)
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
         if self.kind == "pairwise_flip":
             if not self.flip_map:
                 raise InvalidInputError("pairwise_flip requires a flip_map")
-            fmap = {int(k): int(v) for k, v in self.flip_map.items()}
+            fmap = {as_int("flip_map", k, 0): as_int("flip_map", v, 0) for k, v in self.flip_map.items()}
             if set(fmap.values()) != set(fmap.keys()):
                 raise InvalidInputError(
                     f"flip_map must permute the mapped classes, got {fmap}"
@@ -273,7 +260,7 @@ def inject_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
     """
     if d.n == 0:
         raise InvalidInputError("cannot inject noise into an empty dataset")
-    rng = np.random.default_rng(int(spec.seed))
+    rng = np.random.default_rng(spec.seed)
     count = int(round(spec.fraction * d.n))
     labels = d.labels.copy()
     if count:

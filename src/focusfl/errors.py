@@ -1,8 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types and the value rules shared across the package.
 
 Everything raised on purpose derives from :class:`FocusFlError`, so callers
-can catch one base type at the boundary (the CLI does exactly that).
+can catch one base type at the boundary (the CLI does exactly that).  Each
+value rule returns the value to store, or raises :class:`InvalidInputError`
+naming the field.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class FocusFlError(Exception):
@@ -54,3 +61,43 @@ class RoundError(FocusFlError):
     def __reduce__(self):
         # The default rebuilds from ``args`` alone, which lack ``round_index``.
         return (type(self), (str(self), self.round_index, self.partial_metrics))
+
+
+def as_int(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``; integral floats are accepted."""
+    try:
+        if isinstance(value, numbers.Real) and int(value) == value >= minimum:
+            return int(value)
+    except (ValueError, OverflowError):  # nan, inf
+        pass
+    kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+    raise InvalidInputError(f"{name} must be {kind}, got {value!r}")
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a finite ``float``."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
+
+
+def as_positive(name: str, value) -> float:
+    """``value`` as a finite, positive ``float``."""
+    real = as_real(name, value)
+    if real <= 0:
+        raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+    return real
+
+
+def frozen_f64(values, name: str, ndim: int) -> np.ndarray:
+    """A read-only float64 copy of ``values``, which must be ``ndim``-D and finite."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    arr.flags.writeable = False
+    return arr

@@ -21,7 +21,6 @@ model up, which carries the ``LL`` scalar when scoring is on.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -30,26 +29,12 @@ import numpy as np
 
 from . import learner
 from .data import Dataset
-from .errors import (
-    DegenerateCredibilityError,
-    InvalidInputError,
-    RoundError,
-    TrainingDivergenceError,
-)
+from .errors import DegenerateCredibilityError, InvalidInputError, RoundError, TrainingDivergenceError
+from .errors import as_int, as_positive, frozen_f64
 from .learner import ArchSpec, ModelParams, SgdConfig
 
 # Magic prefix of the binary model checkpoint container (version 1).
 MODEL_MAGIC = b"FOCUSMP1"
-
-
-def _frozen_f64(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -89,19 +74,18 @@ class ServerState:
     round: int = 0
 
     def __post_init__(self):
-        weights = _frozen_f64(self.weights, "weights")
+        weights = frozen_f64(self.weights, "weights", 1)
         if weights.size < 1:
             raise InvalidInputError("weights must be non-empty")
         if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
             raise InvalidInputError(
                 f"weights must be non-negative and sum to 1, got sum {weights.sum()!r}"
             )
-        check_alpha(self.alpha)
-        learner.check_reduction(self.reduction)
-        if int(self.round) != self.round or self.round < 0:
-            raise InvalidInputError(f"round must be a non-negative integer, got {self.round}")
-        learner.check_fits(self.global_model.arch, self.benchmark, "benchmark set")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "alpha", as_positive("alpha", self.alpha))
+        learner.check_reduction(self.reduction)
+        object.__setattr__(self, "round", as_int("round", self.round, 0))
+        learner.check_fits(self.global_model.arch, self.benchmark, "benchmark set")
 
     @property
     def num_clients(self) -> int:
@@ -131,7 +115,7 @@ class CredReport:
         object.__setattr__(self, "client_ids", ids)
         arrays = {}
         for name in ("ls", "ll", "e", "c", "w"):
-            arr = _frozen_f64(getattr(self, name), name)
+            arr = frozen_f64(getattr(self, name), name, 1)
             if arr.shape != (len(ids),):
                 raise InvalidInputError(f"{name} has shape {arr.shape}, expected ({len(ids)},)")
             arrays[name] = arr
@@ -180,12 +164,6 @@ def model_test(m: ModelParams, d: Dataset, reduction: str = "mean") -> float:
     return learner.cross_entropy(learner.forward(m.arch, m.values, d.features), d.labels, reduction)
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise unless the credibility sharpness ``alpha`` is finite and positive."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InvalidInputError(f"alpha must be finite and positive, got {alpha}")
-
-
 def credibilities(e, alpha: float = 1.0) -> np.ndarray:
     """Map evaluation scores to credibilities: ``C = 1 - softmax(alpha * e)``.
 
@@ -194,12 +172,10 @@ def credibilities(e, alpha: float = 1.0) -> np.ndarray:
     is exactly ``1 - 1/K`` per client.  A single client is fully credible
     (``C = (1,)``) since there is no one to compare against.
     """
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 1 or e.size == 0:
-        raise InvalidInputError(f"e must be a non-empty 1-D vector, got shape {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise InvalidInputError("e contains non-finite entries")
-    check_alpha(alpha)
+    e = frozen_f64(e, "e", 1)
+    if e.size == 0:
+        raise InvalidInputError("e must be non-empty")
+    alpha = as_positive("alpha", alpha)
     if e.size == 1:
         return np.ones(1)
     z = alpha * e

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigurationError, InvalidInputError, RoundError, TrainingDivergenceError
+from .errors import as_int, as_positive, as_real
 from .federation import (
     ClientState,
     CredReport,
@@ -93,16 +94,21 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name, may_be_str in _INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if not (may_be_str and isinstance(value, str)):  # batch_size's "full" is checked below
-                object.__setattr__(self, name, _as_int(name, value))
-        object.__setattr__(self, "hidden_dims", tuple(_as_int("hidden_dims", h) for h in self.hidden_dims))
-        object.__setattr__(self, "noise", tuple(self.noise))
-        if self.client_proportions is not None:
-            object.__setattr__(
-                self, "client_proportions", tuple(float(p) for p in self.client_proportions)
-            )
+        # Store every field as its annotated type, then surface bad nested
+        # values now, as configuration errors, rather than midway through a run.
+        try:
+            for name, tp in _FIELD_TYPES.items():
+                object.__setattr__(self, name, _FIELD_RULES[tp](name, getattr(self, name)))
+            self.partition_plan(seed=0)
+            self.sgd_config(seed=0)
+            as_positive("alpha", self.alpha)
+            learner.check_reduction(self.reduction)
+            if self.dataset_file is None:  # else the file decides dim and num_classes
+                # One-row probe of the generator checks class count, sample
+                # count, separation, and the dim >= num_classes - 1 bound.
+                synth_blobs(self.num_classes, min(self.samples_per_class, 1), self.dim, self.separation, seed=0)
+        except InvalidInputError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if self.aggregator not in AGGREGATORS:
             raise ConfigurationError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
         if self.rounds < 1:
@@ -111,27 +117,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"participation_fraction must lie in (0, 1], got {self.participation_fraction}"
             )
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be a non-negative integer, got {self.master_seed}")
-        if any(not isinstance(ns, NoiseSpec) for ns in self.noise):
-            raise ConfigurationError("noise must be a sequence of NoiseSpec values")
-        # Surface bad nested values now, as configuration errors, rather than
-        # midway through a run.
-        try:
-            self.partition_plan(seed=0)
-            self.sgd_config(seed=0)
-            federation.check_alpha(self.alpha)
-            learner.check_reduction(self.reduction)
-            if self.dataset_file is None:
-                ArchSpec(self.dim, self.hidden_dims, self.num_classes)
-                # One-row probe of the generator checks class count, sample
-                # count, separation, and the dim >= num_classes - 1 bound.
-                synth_blobs(self.num_classes, min(self.samples_per_class, 1), self.dim, self.separation, seed=0)
-            else:  # the file decides dim and num_classes; check the hidden widths alone
-                ArchSpec(1, self.hidden_dims, 2)
-        except InvalidInputError as exc:
-            raise ConfigurationError(str(exc)) from exc
         for ns in self.noise:
+            if not isinstance(ns, NoiseSpec):
+                raise ConfigurationError("noise must be a sequence of NoiseSpec values")
             if not ns.target_clients:
                 raise ConfigurationError("a noise spec must name at least one target client")
             for k in ns.target_clients:
@@ -158,23 +146,34 @@ class ExperimentConfig:
         )
 
 
-# Each config field that holds an integer, mapped to whether it may hold a
-# string instead (``batch_size = "full"``).
-_INTEGER_FIELDS = {
-    name: str in get_args(tp)
-    for name, tp in get_type_hints(ExperimentConfig).items()
-    if tp is int or (get_origin(tp) is Union and int in get_args(tp))
+def _as_bool(name: str, value) -> bool:
+    if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
+        return bool(value)
+    raise InvalidInputError(f"{name} must be a boolean, got {value!r}")
+
+
+def _as_str(name: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise InvalidInputError(f"{name} must be a string, got {value!r}")
+
+
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+# How ExperimentConfig stores a field of each annotated type, so that equal
+# values share one config hash.  Ranges are left to the nested probes and
+# the checks after them; only the hidden widths have no probe of their own.
+_FIELD_RULES = {
+    int: lambda name, value: as_int(name, value, 0),
+    Union[int, str]: lambda name, value: value if isinstance(value, str) else as_int(name, value, 0),
+    float: as_real,
+    bool: _as_bool,
+    str: _as_str,
+    Optional[str]: lambda name, value: None if value is None else _as_str(name, value),
+    Tuple[int, ...]: lambda name, value: tuple(as_int(name, h, 1) for h in value),
+    Optional[Tuple[float, ...]]: lambda name, value: None if value is None else tuple(as_real(name, p) for p in value),
+    Tuple[NoiseSpec, ...]: lambda name, value: tuple(value),  # each checked below
 }
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an ``int``, or a :class:`ConfigurationError` if it is not integral."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     shards = list(shards)
     for ns in cfg.noise:
         for k in ns.target_clients:
-            child_seed = int(np.random.SeedSequence([int(ns.seed), int(k)]).generate_state(1, dtype=np.uint64)[0])
+            child_seed = int(np.random.SeedSequence([ns.seed, k]).generate_state(1, dtype=np.uint64)[0])
             per_client = NoiseSpec(
                 kind=ns.kind,
                 fraction=ns.fraction,
@@ -390,7 +389,7 @@ def seed_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> Tuple[RunResult, 
     """Run the same config under several master seeds."""
     if not seeds:
         raise InvalidInputError("seed_sweep requires at least one seed")
-    return run_many([replace(cfg, master_seed=int(s)) for s in seeds])
+    return run_many([replace(cfg, master_seed=s) for s in seeds])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, TrainingDivergenceError
+from .errors import InvalidInputError, TrainingDivergenceError, as_int, as_positive, frozen_f64
 
 # Probabilities are clamped here before any log so a confidently wrong
 # prediction yields a large finite loss instead of an infinite one.
@@ -40,13 +40,9 @@ class ArchSpec:
     num_classes: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if int(self.input_dim) != self.input_dim or self.input_dim < 1:
-            raise InvalidInputError(f"input_dim must be a positive integer, got {self.input_dim}")
-        if int(self.num_classes) != self.num_classes or self.num_classes < 2:
-            raise InvalidInputError(f"num_classes must be an integer >= 2, got {self.num_classes}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise InvalidInputError(f"hidden layer widths must be positive, got {self.hidden_dims}")
+        object.__setattr__(self, "input_dim", as_int("input_dim", self.input_dim, 1))
+        object.__setattr__(self, "hidden_dims", tuple(as_int("hidden_dims", h, 1) for h in self.hidden_dims))
+        object.__setattr__(self, "num_classes", as_int("num_classes", self.num_classes, 2))
 
     @property
     def layer_dims(self) -> Tuple[int, ...]:
@@ -71,17 +67,13 @@ class ModelParams:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = frozen_f64(self.values, "parameter vector", 1)
         expected = self.arch.parameter_count()
         if values.shape != (expected,):
             raise InvalidInputError(
                 f"parameter vector has shape {values.shape}, expected ({expected},) "
                 f"for architecture {self.arch.layer_dims}"
             )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("parameter vector contains non-finite entries")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def __reduce__(self):
@@ -103,17 +95,14 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidInputError(f"learning_rate must be positive, got {self.learning_rate}")
-        if int(self.local_steps) != self.local_steps or self.local_steps < 1:
-            raise InvalidInputError(f"local_steps must be an integer >= 1, got {self.local_steps}")
+        object.__setattr__(self, "learning_rate", as_positive("learning_rate", self.learning_rate))
+        object.__setattr__(self, "local_steps", as_int("local_steps", self.local_steps, 1))
         if isinstance(self.batch_size, str):
             if self.batch_size != "full":
                 raise InvalidInputError(f"batch_size must be 'full' or a positive integer, got {self.batch_size!r}")
-        elif int(self.batch_size) != self.batch_size or self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be 'full' or a positive integer, got {self.batch_size}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed}")
+        else:
+            object.__setattr__(self, "batch_size", as_int("batch_size", self.batch_size, 1))
+        object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
 
 
 def _layer_views(arch: ArchSpec, values: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -138,9 +127,7 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     which has zero mean and standard deviation ``1/sqrt(fan_in)``; biases start
     at zero.  The same ``(arch, seed)`` pair always yields the same vector.
     """
-    if int(seed) != seed or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(as_int("seed", seed, 0))
     dims = arch.layer_dims
     chunks = []
     for i in range(len(dims) - 1):
@@ -341,7 +328,7 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     if full:
         batches = itertools.repeat((d.features, onehot))
     else:
-        batches = _minibatches(d.features, onehot, rows, np.random.default_rng(int(cfg.seed)))
+        batches = _minibatches(d.features, onehot, rows, np.random.default_rng(cfg.seed))
     for step in range(1, cfg.local_steps + 1):
         x, t = next(batches)
         n = x.shape[0]

@@ -236,6 +236,29 @@ class TestInjectNoise:
             inject_noise(d, spec)
 
 
+class TestValueRules:
+    def test_integral_float_client_count_partitions_like_the_int(self):
+        d = synth_blobs(2, 40, 3, 3.0, seed=8)
+        by_float = partition(d, PartitionPlan(2.0, 0.25, 0.25, seed=4))
+        by_int = partition(d, PartitionPlan(2, 0.25, 0.25, seed=4))
+        for a, b in zip((*by_float[0], *by_float[1:]), (*by_int[0], *by_int[1:])):
+            assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("num_clients", lambda: PartitionPlan(float("nan"), 0.2, 0.2)),
+            ("seed", lambda: NoiseSpec(kind="randomize", fraction=0.5, seed=None)),
+            ("target_clients", lambda: NoiseSpec(kind="randomize", fraction=0.5, target_clients=(0.5,))),
+            ("flip_map", lambda: NoiseSpec(kind="pairwise_flip", fraction=0.5, flip_map={0.5: 1, 1.7: 0})),
+        ],
+        ids=["num_clients-nan", "noise-seed-None", "target_clients-0.5", "flip_map-fractional"],
+    )
+    def test_non_integers_are_rejected_by_name(self, name, make):
+        with pytest.raises(InvalidInputError, match=f"{name} must be"):
+            make()
+
+
 class TestCsvFormat:
     def test_round_trip_is_exact(self, tmp_path):
         d = synth_blobs(3, 25, 4, 3.0, seed=12)

@@ -255,6 +255,26 @@ class TestStateValidation:
         with pytest.raises(InvalidInputError):
             replace(server, round=-1)
 
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("round", lambda server: replace(server, round=float("nan"))),
+            ("alpha", lambda server: replace(server, alpha="1")),
+            ("alpha", lambda server: credibilities([1.0, 2.0], alpha=None)),
+        ],
+        ids=["round-nan", "server-alpha-str", "credibilities-alpha-None"],
+    )
+    def test_bad_scalars_are_rejected_by_name(self, name, make):
+        server, _ = tiny_federation()
+        with pytest.raises(InvalidInputError, match=f"{name} must be"):
+            make(server)
+
+    def test_integral_float_round_is_stored_as_the_int(self):
+        server, clients = tiny_federation()
+        log = []
+        after, _, _ = focus_round(replace(server, round=2.0), clients, SgdConfig(0.1, 1), message_log=log)
+        assert type(after.round) is int and {type(m.round) for m in log} == {int}
+
     def test_init_server_uses_sample_proportions(self):
         server, clients = tiny_federation(k=4)
         n = np.array([c.n_k for c in clients], dtype=float)

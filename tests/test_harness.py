@@ -1,12 +1,14 @@
 """Unit tests for scenario assembly, the experiment loop, and run output files."""
 
 import json
+import os
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from focusfl import federation
+from focusfl import federation, harness
 from focusfl.cli import main
 from focusfl.data import NoiseSpec
 from focusfl.errors import ConfigurationError, InvalidInputError, RoundError
@@ -68,7 +70,7 @@ class TestExperimentConfig:
         for alpha in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError, match="alpha"):
                 ExperimentConfig(alpha=alpha)
-        with pytest.raises(ConfigurationError, match="hidden layer widths"):
+        with pytest.raises(ConfigurationError, match="hidden_dims must be an integer >= 1, got 0"):
             ExperimentConfig(hidden_dims=(0,), dataset_file="data.csv")
         with pytest.raises(ConfigurationError, match="hidden_dims must be an integer"):
             ExperimentConfig(hidden_dims=(8.5,))
@@ -97,6 +99,50 @@ class TestExperimentConfig:
         assert config_hash(cfg) == config_hash(fast_config(**{name: value}))
         with pytest.raises(ConfigurationError, match=name):
             fast_config(**{name: value + 0.5})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("separation", 3),
+            ("alpha", 1),
+            ("participation_fraction", 1),
+            ("standardize_e", 1),
+            ("learning_rate", np.float32(0.5)),
+        ],
+    )
+    def test_equal_values_share_the_default_hash(self, name, value):
+        """Each field is stored as its annotated type, so equal values hash alike."""
+        cfg = ExperimentConfig(**{name: value})
+        assert config_hash(cfg) == config_hash(ExperimentConfig())
+        assert type(getattr(cfg, name)) is type(getattr(ExperimentConfig(), name))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", "0.5"),
+            ("alpha", "1"),
+            ("benchmark_fraction", "0.2"),
+            ("participation_fraction", "1"),
+            ("standardize_e", "no"),
+        ],
+    )
+    def test_values_of_the_wrong_type_are_configuration_errors(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ExperimentConfig(**{name: value})
+
+    def test_integer_dataset_file_is_rejected_not_read_as_a_descriptor(self, tmp_path):
+        fd = os.open(tmp_path / "data.csv", os.O_RDONLY | os.O_CREAT)
+        try:
+            with pytest.raises(ConfigurationError, match="dataset_file must be a string"):
+                ExperimentConfig(dataset_file=fd)
+            os.fstat(fd)  # the caller's descriptor is still open
+        finally:
+            os.close(fd)
+
+    def test_every_field_type_has_a_storage_rule(self):
+        """Each annotated field type maps to the rule that checks and stores its value."""
+        hints = get_type_hints(ExperimentConfig)
+        assert {name: tp for name, tp in hints.items() if tp not in harness._FIELD_RULES} == {}
 
     def test_dataset_file_config_ignores_synthetic_shape_fields(self):
         """The file decides dim and num_classes, so their values are not checked."""
@@ -304,6 +350,11 @@ class TestSweep:
     def test_seed_sweep_runs_each_seed(self):
         results = seed_sweep(fast_config(rounds=2), seeds=[0, 1, 2])
         assert [r.config.master_seed for r in results] == [0, 1, 2]
+
+    def test_non_integral_seed_is_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_many", lambda cfgs: pytest.fail("a run started"))
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            seed_sweep(fast_config(), seeds=[1.5])
 
     def test_empty_seed_list_is_rejected(self):
         with pytest.raises(InvalidInputError):

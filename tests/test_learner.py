@@ -307,6 +307,32 @@ class TestClientUpdate:
             SgdConfig(learning_rate=0.1, local_steps=1, batch_size="half")
 
 
+class TestValueRules:
+    @pytest.mark.parametrize("field", ["input_dim", "local_steps", "batch_size"])
+    def test_integral_floats_train_like_ints(self, field):
+        def train(input_dim, local_steps, batch_size):
+            cfg = SgdConfig(0.5, local_steps, batch_size, seed=3)
+            d = random_batch(np.random.default_rng(5), ArchSpec(4, (), 3), 10)
+            return client_update(init_params(ArchSpec(input_dim, (), 3), seed=1), d, cfg).values
+
+        ints = dict(input_dim=4, local_steps=2, batch_size=4)
+        assert train(**{**ints, field: float(ints[field])}).tobytes() == train(**ints).tobytes()
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("local_steps", lambda: SgdConfig(0.5, float("nan"))),
+            ("seed", lambda: init_params(ArchSpec(4, (), 3), float("nan"))),
+            ("input_dim", lambda: ArchSpec(None, (), 3)),
+            ("hidden_dims", lambda: ArchSpec(4, (2.5,), 3)),
+        ],
+        ids=["local_steps-nan", "init-seed-nan", "input_dim-None", "hidden_dims-2.5"],
+    )
+    def test_non_integers_are_rejected_by_name(self, name, make):
+        with pytest.raises(InvalidInputError, match=f"{name} must be"):
+            make()
+
+
 def _overflow_case(seed):
     """A small training problem whose learning rate and weights sit near overflow."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,9 @@ that alters numerics on purpose updates the pins and says why.
 
 ``report_long.csv`` is what ``focusfl report`` writes from a run dir; it is
 pinned for the usc-noisy pair, one run with client weights and one without.
+The message log is pinned too, as the sha256 of ``repr(result.messages)``:
+``mixed/fedavg`` covers partial-participation FedAvg and
+``mixed/local_baseline`` the empty log.
 """
 
 import hashlib
@@ -87,6 +90,18 @@ PINS = {
     },
 }
 
+# case -> sha256 of repr(result.messages)
+MESSAGE_LOG_PINS = {
+    "usc-noisy/focus": "5b50988fb1fbe617f9c4fa4d0509db69ec4e673dcd1586337b643d7fe8a706d0",
+    "usc-noisy/fedavg": "6f5cf53227d8c16146cd6b4e44301258154666bf6e3882282532d180d41f691a",
+    "usc-normal/focus": "5b50988fb1fbe617f9c4fa4d0509db69ec4e673dcd1586337b643d7fe8a706d0",
+    "usc-normal/fedavg": "6f5cf53227d8c16146cd6b4e44301258154666bf6e3882282532d180d41f691a",
+    "multi-tier/focus": "d286f94e9f4f753412c35d2fc1875ec9720d44a144f3577a8d65944e5f3eef26",
+    "mixed/focus": "ece93f17c87050e7f03d848180c892809b4d756c3584384fae64b046c9574ec6",
+    "mixed/fedavg": "e9c972ba7b38b18e7d5528730bbe7e57ebbbca3e4f955127e577a4fc20948525",
+    "mixed/local_baseline": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+}
+
 
 CASES = {
     f"{scenario}/{cfg.aggregator}": replace(cfg, master_seed=0)
@@ -94,6 +109,10 @@ CASES = {
     for cfg in _scenario_runs(scenario)
 }
 CASES.update({f"mixed/{agg}": replace(MIXED, aggregator=agg) for agg in ("focus", "fedavg", "local_baseline")})
+
+
+def _message_log_digest(result):
+    return hashlib.sha256(repr(result.messages).encode()).hexdigest()
 
 
 def _digests(result, run_dir, names):
@@ -109,7 +128,9 @@ def _digests(result, run_dir, names):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_pins(case, tmp_path):
-    assert _digests(run(CASES[case]), tmp_path, PINS[case]) == PINS[case]
+    result = run(CASES[case])
+    assert _digests(result, tmp_path, PINS[case]) == PINS[case]
+    assert _message_log_digest(result) == MESSAGE_LOG_PINS[case]
 
 
 def test_run_many_matches_the_pins(tmp_path, monkeypatch):
@@ -121,3 +142,4 @@ def test_run_many_matches_the_pins(tmp_path, monkeypatch):
         case: _digests(result, tmp_path / case.replace("/", "-"), PINS[case]) for case, result in zip(names, results)
     }
     assert got == {case: PINS[case] for case in names}
+    assert {case: _message_log_digest(result) for case, result in zip(names, results)} == MESSAGE_LOG_PINS

@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_origin
 
 from . import harness
 from .data import NoiseSpec, write_csv
@@ -75,9 +75,8 @@ _NOISE_PARSERS = {
     "noise_flip_map": _parse_flip_map,
 }
 
-_FIELD_TYPES = get_type_hints(ExperimentConfig)
 _CONFIG_PARSERS = {
-    **{f.name: _parser_for(_FIELD_TYPES[f.name]) for f in fields(ExperimentConfig) if f.name != "noise"},
+    **{f.name: _parser_for(harness._FIELD_TYPES[f.name]) for f in fields(ExperimentConfig) if f.name != "noise"},
     **_NOISE_PARSERS,
 }
 

@@ -15,7 +15,7 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, as_int, as_real, frozen_f64
+from .errors import ConfigurationError, InvalidInputError, as_int, as_positive, as_real, frozen_f64
 
 # Magic prefix of the binary dataset container (version 1).
 DATASET_MAGIC = b"FOCUSDS1"
@@ -86,20 +86,22 @@ def synth_blobs(
     ``dim >= num_classes - 1``; smaller ``dim`` is rejected.
 
     Rows are ordered class by class: ``samples_per_class`` rows of class 0,
-    then class 1, and so on.
+    then class 1, and so on.  Every bad argument is a configuration error.
     """
-    if num_classes < 2:
-        raise ConfigurationError(f"num_classes must be >= 2, got {num_classes}")
-    if samples_per_class < 1:
-        raise ConfigurationError(f"samples_per_class must be >= 1, got {samples_per_class}")
-    if not (np.isfinite(separation) and separation > 0):
-        raise ConfigurationError(f"separation must be positive, got {separation}")
+    try:
+        num_classes = as_int("num_classes", num_classes, 2)
+        samples_per_class = as_int("samples_per_class", samples_per_class, 1)
+        dim = as_int("dim", dim, 0)
+        separation = as_positive("separation", separation)
+        seed = as_int("seed", seed, 0)
+    except InvalidInputError as exc:
+        raise ConfigurationError(str(exc)) from exc
     if dim < num_classes - 1:
         raise ConfigurationError(
             f"dim={dim} is too small to place {num_classes} class means at mutual "
             f"distance {separation}; need dim >= {num_classes - 1}"
         )
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
 
     # Start from scaled standard-basis points in R^C, whose pairwise distance
     # is exactly `separation`; center them and project onto the (C-1)-dim
@@ -145,6 +147,8 @@ class PartitionPlan:
     def __post_init__(self):
         object.__setattr__(self, "num_clients", as_int("num_clients", self.num_clients, 1))
         object.__setattr__(self, "seed", as_int("seed", self.seed, 0))
+        for name in ("benchmark_fraction", "test_fraction"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not (0.0 < self.benchmark_fraction < 1.0):
             raise InvalidInputError(
                 f"benchmark_fraction must lie in (0, 1), got {self.benchmark_fraction}"
@@ -228,6 +232,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidInputError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "fraction", as_real("noise fraction", self.fraction))
         if not (0.0 <= self.fraction <= 1.0):
             raise InvalidInputError(f"noise fraction must lie in [0, 1], got {self.fraction}")
         targets = tuple(as_int("target_clients", c, 0) for c in self.target_clients)

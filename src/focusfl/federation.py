@@ -16,14 +16,15 @@ FedAvg (:func:`fedavg_round`) is the same round with scoring off: steps 3
 and 4 are skipped, step 2 uses the participants' sample-proportional weights
 ``n_k / sum n``, and the stored weights never change.  Every participant
 exchanges exactly two logical messages per round: one model down, and one
-model up, which carries the ``LL`` scalar when scoring is on.
+model up, which carries the ``LL`` scalar when scoring is on; the rounds log
+nothing, and ``harness.RunResult.messages`` derives the log from participants.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,7 +110,7 @@ class CredReport:
     w: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(int(i) for i in self.client_ids)
+        ids = tuple(as_int("client_ids", i, 0) for i in self.client_ids)
         if len(set(ids)) != len(ids) or not ids:
             raise InvalidInputError(f"client_ids must be non-empty and unique, got {ids}")
         object.__setattr__(self, "client_ids", ids)
@@ -279,10 +280,10 @@ def _check_round_args(
             raise InvalidInputError(f"client {c.id} model architecture differs from the global model")
     if participants is None:
         return tuple(range(len(clients)))
-    part = tuple(sorted(int(p) for p in participants))
+    part = tuple(sorted(as_int("participants", p, 0) for p in participants))
     if not part or len(set(part)) != len(part):
         raise InvalidInputError(f"participants must be non-empty and unique, got {participants}")
-    if part[0] < 0 or part[-1] >= len(clients):
+    if part[-1] >= len(clients):
         raise InvalidInputError(f"participants out of range for {len(clients)} clients: {part}")
     return part
 
@@ -292,21 +293,15 @@ def _round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]],
-    message_log: Optional[List[MessageRecord]],
     scoring: bool,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], Optional[CredReport]]:
     """One round of either aggregator; ``scoring=False`` is FedAvg."""
     part = _check_round_args(server, clients, participants)
     idx = list(part)
     t = server.round + 1
-    pcount = server.global_model.arch.parameter_count()
     n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
     try:
-        local_models = []
-        for k in part:
-            if message_log is not None:
-                message_log.append(MessageRecord(t, "down", k, pcount, 0))
-            local_models.append(learner.client_update(server.global_model, clients[k].data, sgd))
+        local_models = [learner.client_update(server.global_model, clients[k].data, sgd) for k in part]
 
         if scoring:
             # Full participation uses the stored weights exactly; otherwise the
@@ -321,8 +316,6 @@ def _round(
         else:
             w_agg = n_part / n_part.sum()
         new_global = aggregate(local_models, w_agg)
-        if message_log is not None:
-            message_log.extend(MessageRecord(t, "up", k, pcount, int(scoring)) for k in part)
 
         weights = server.weights
         report = None
@@ -352,9 +345,8 @@ def focus_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
-    message_log: Optional[List[MessageRecord]] = None,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], CredReport]:
-    """Run one credibility-weighted round; states are inputs, not mutated.
+    """Run one credibility-weighted round; no argument is mutated.
 
     Aggregation uses the weights stored on ``server`` (computed at the end of
     the previous round); the weights computed here are stored for the *next*
@@ -365,7 +357,7 @@ def focus_round(
     Training divergence and degenerate credibilities are re-raised as
     :class:`RoundError` with this round's 1-based index attached.
     """
-    return _round(server, clients, sgd, participants, message_log, scoring=True)
+    return _round(server, clients, sgd, participants, scoring=True)
 
 
 def fedavg_round(
@@ -373,15 +365,14 @@ def fedavg_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
-    message_log: Optional[List[MessageRecord]] = None,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
-    """Run one FedAvg round: train locally, average by sample counts.
+    """Run one FedAvg round: train locally, average by sample counts; no argument is mutated.
 
     No scoring happens in either direction, so the uplink carries the model
     and nothing else, and the stored weights never change.  Training
     divergence is re-raised as :class:`RoundError` with the round index.
     """
-    return _round(server, clients, sgd, participants, message_log, scoring=False)
+    return _round(server, clients, sgd, participants, scoring=False)
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,13 @@ _FIELD_RULES = {
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """What gets recorded after each round."""
+    """What gets recorded after each round; ``participants`` are the clients that trained, sorted."""
 
     round: int
     test_accuracy: float
     fl_loss: float
     cred: Optional[CredReport] = None
+    participants: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,20 @@ class RunResult:
     final_model: Optional[ModelParams]
     final_weights: Optional[Tuple[float, ...]]
     duration_seconds: float
-    messages: Tuple[MessageRecord, ...] = ()
+
+    @property
+    def messages(self) -> Tuple[MessageRecord, ...]:
+        """Per round, the model down to each participant, then each one's model up (plus ``LL`` under focus)."""
+        if self.final_model is None:  # local_baseline never communicates
+            return ()
+        pcount = self.final_model.arch.parameter_count()
+        up_scalars = int(self.config.aggregator == "focus")
+        return tuple(
+            MessageRecord(m.round, direction, k, pcount, scalars)
+            for m in self.metrics
+            for direction, scalars in (("down", 0), ("up", up_scalars))
+            for k in m.participants
+        )
 
     @property
     def final_accuracy(self) -> float:
@@ -322,42 +336,35 @@ def run(cfg: ExperimentConfig) -> RunResult:
     federated_round = {"focus": focus_round, "fedavg": fedavg_round}.get(cfg.aggregator)
     k = len(clients)
     prng = np.random.default_rng(seeds["participation"])
-    messages: List[MessageRecord] = []
     metrics: List[RoundMetrics] = []
     # Clients that sat a round out keep their model, so their loss is reused.
     scored: Dict[int, Tuple[ModelParams, float]] = {}
     start = time.perf_counter()
     try:
         for t in range(1, cfg.rounds + 1):
-            participants = None
-            if cfg.participation_fraction < 1.0:
+            participants = tuple(range(k))
+            if cfg.participation_fraction < 1.0 and federated_round is not None:
                 size = max(1, int(round(cfg.participation_fraction * k)))
-                participants = np.sort(prng.choice(k, size=size, replace=False)).tolist()
+                participants = tuple(np.sort(prng.choice(k, size=size, replace=False)).tolist())
             cred: Optional[CredReport] = None
             if federated_round is None:
                 clients = _local_baseline_round(clients, sgd, t)
                 acc = float(np.mean([learner.accuracy(c.local_model, test) for c in clients]))
             else:
-                server, clients, cred = federated_round(server, clients, sgd, participants, messages)
+                server, clients, cred = federated_round(server, clients, sgd, participants)
                 acc = learner.accuracy(server.global_model, test)
-            metrics.append(RoundMetrics(t, acc, fl_training_loss(clients, scored), cred))
+            metrics.append(RoundMetrics(t, acc, fl_training_loss(clients, scored), cred, participants))
     except RoundError as exc:
         exc.partial_metrics = tuple(metrics)
         raise
     duration = time.perf_counter() - start
-    if federated_round is None:
-        final_model = None
-        final_weights = None
-    else:
-        final_model = server.global_model
-        final_weights = tuple(float(w) for w in server.weights)
+    federated = federated_round is not None  # local_baseline has no global model or weights
     return RunResult(
         config=cfg,
         metrics=tuple(metrics),
-        final_model=final_model,
-        final_weights=final_weights,
+        final_model=server.global_model if federated else None,
+        final_weights=tuple(float(w) for w in server.weights) if federated else None,
         duration_seconds=duration,
-        messages=tuple(messages),
     )
 
 

@@ -95,6 +95,26 @@ class TestSynthBlobs:
         with pytest.raises(ConfigurationError):
             synth_blobs(1, 10, 3, separation=1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("seed", (2, 10, 3, 3.0, 1.5)),
+            ("separation", (2, 10, 3, None, 0)),
+            ("separation", (2, 10, 3, "x", 0)),
+            ("separation", (2, 10, 3, float("nan"), 0)),
+            ("num_classes", (2.5, 10, 3, 3.0, 0)),
+            ("samples_per_class", (2, "10", 3, 3.0, 0)),
+        ],
+        ids=["seed-1.5", "separation-None", "separation-str", "separation-nan", "num_classes-2.5", "samples-str"],
+    )
+    def test_bad_arguments_are_configuration_errors(self, name, args):
+        with pytest.raises(ConfigurationError, match=name):
+            synth_blobs(*args)
+
+    def test_integral_float_seed_draws_like_the_int(self):
+        a, b = synth_blobs(2, 10, 3, 3.0, seed=1.0), synth_blobs(2, 10, 3, 3.0, seed=1)
+        assert np.array_equal(a.features, b.features)
+
     def test_well_separated_blobs_are_learnable(self):
         """A softmax regression trained on very separated blobs should be
         near-perfect; this ties the generator to the learner end to end."""
@@ -257,6 +277,26 @@ class TestValueRules:
     def test_non_integers_are_rejected_by_name(self, name, make):
         with pytest.raises(InvalidInputError, match=f"{name} must be"):
             make()
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("benchmark_fraction", lambda: PartitionPlan(2, "0.2", 0.2)),
+            ("test_fraction", lambda: PartitionPlan(2, 0.2, None)),
+            ("noise fraction", lambda: NoiseSpec(kind="randomize", fraction=None)),
+            ("noise fraction", lambda: NoiseSpec(kind="randomize", fraction="x")),
+        ],
+        ids=["benchmark_fraction-str", "test_fraction-None", "noise-fraction-None", "noise-fraction-str"],
+    )
+    def test_non_reals_are_rejected_by_name(self, name, make):
+        with pytest.raises(InvalidInputError, match=f"{name} must be"):
+            make()
+
+    def test_fractions_are_stored_as_float(self):
+        plan = PartitionPlan(2, np.float32(0.25), np.float32(0.5))
+        fractions = (plan.benchmark_fraction, plan.test_fraction)
+        fractions += tuple(NoiseSpec(kind="randomize", fraction=f).fraction for f in (1, np.float32(0.5)))
+        assert [type(f) for f in fractions] == [float] * 4
 
 
 class TestCsvFormat:

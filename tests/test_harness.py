@@ -130,6 +130,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=name):
             ExperimentConfig(**{name: value})
 
+    def test_equal_noise_fractions_share_a_hash(self):
+        def noisy(fraction):
+            return ExperimentConfig(noise=(NoiseSpec(kind="randomize", fraction=fraction, target_clients=(0,)),))
+
+        assert config_hash(noisy(1)) == config_hash(noisy(1.0))
+        assert config_hash(noisy(np.float32(0.5))) == config_hash(noisy(0.5))
+
     def test_integer_dataset_file_is_rejected_not_read_as_a_descriptor(self, tmp_path):
         fd = os.open(tmp_path / "data.csv", os.O_RDONLY | os.O_CREAT)
         try:
@@ -251,6 +258,7 @@ class TestRun:
 
     def test_message_accounting_focus(self):
         result = run(fast_config())
+        assert all(m.participants == (0, 1, 2, 3) for m in result.metrics)
         assert result.messages_per_round == 8.0
         by_round = {}
         for m in result.messages:
@@ -259,8 +267,31 @@ class TestRun:
         for records in by_round.values():
             assert len(records) == 8
 
+    def test_messages_two_per_client_with_one_uplink_scalar(self):
+        """Under ``focus`` every participant gets the model and sends it back
+        with one scalar, and the participants are the clients scored."""
+        result = run(fast_config(participation_fraction=0.5))
+        pcount = result.final_model.arch.parameter_count()
+        for m in result.metrics:
+            assert len(m.participants) == 2 and m.participants == m.cred.client_ids
+            records = [r for r in result.messages if r.round == m.round]
+            expected = [("down", k, pcount, 0) for k in m.participants] + [("up", k, pcount, 1) for k in m.participants]
+            assert [(r.direction, r.client, r.param_count, r.scalar_count) for r in records] == expected
+        assert len(result.messages) == 2 * 2 * len(result.metrics)
+
+    def test_uplink_carries_no_extra_scalar(self):
+        result = run(fast_config(aggregator="fedavg", participation_fraction=0.5))
+        rounds = {m.round: m.participants for m in result.metrics}
+        for t, participants in rounds.items():
+            records = [r for r in result.messages if r.round == t]
+            assert len(records) == 2 * len(participants) == 4
+            assert sorted(r.client for r in records if r.direction == "up") == list(participants)
+            assert all(r.scalar_count == 0 for r in records)
+        assert len(set(rounds.values())) > 1  # the draw varies by round
+
     def test_local_baseline_never_communicates(self):
         result = run(fast_config(aggregator="local_baseline"))
+        assert all(m.participants == (0, 1, 2, 3) for m in result.metrics)
         assert result.messages == ()
         assert result.messages_per_round == 0.0
         assert result.final_model is None

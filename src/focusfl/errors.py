@@ -94,7 +94,10 @@ def as_positive(name: str, value) -> float:
 
 def frozen_f64(values, name: str, ndim: int) -> np.ndarray:
     """A read-only float64 copy of ``values``, which must be ``ndim``-D and finite."""
-    arr = np.array(values, dtype=np.float64)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, or a ragged nesting
+        raise InvalidInputError(f"{name} must hold real numbers: {exc}") from None
     if arr.ndim != ndim:
         raise InvalidInputError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -195,16 +195,16 @@ def aggregation_weights(n, c) -> np.ndarray:
     the weights are undefined and :class:`DegenerateCredibilityError` is
     raised.
     """
-    n = np.asarray(n, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if n.shape != c.shape or n.ndim != 1 or n.size == 0:
+    n = frozen_f64(n, "sample counts", 1)
+    c = frozen_f64(c, "credibilities", 1)
+    if n.shape != c.shape or n.size == 0:
         raise InvalidInputError(
             f"n {n.shape} and c {c.shape} must be equal-length non-empty vectors"
         )
     if np.any(n <= 0) or np.any(n != np.floor(n)):
         raise InvalidInputError("sample counts must be positive integers")
-    if not np.all(np.isfinite(c)) or np.any(c < 0):
-        raise InvalidInputError("credibilities must be finite and non-negative")
+    if np.any(c < 0):
+        raise InvalidInputError("credibilities must be non-negative")
     raw = n * c
     denom = float(raw.sum())
     if denom <= 0.0:
@@ -228,11 +228,11 @@ def aggregate(models: Sequence[ModelParams], w) -> ModelParams:
     arch = models[0].arch
     if any(m.arch != arch for m in models):
         raise InvalidInputError("all models must share one architecture")
-    w = np.asarray(w, dtype=np.float64)
+    w = frozen_f64(w, "aggregation weights", 1)
     if w.shape != (len(models),):
         raise InvalidInputError(f"w has shape {w.shape}, expected ({len(models)},)")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidInputError("aggregation weights must be finite and non-negative")
+    if np.any(w < 0):
+        raise InvalidInputError("aggregation weights must be non-negative")
     if abs(float(w.sum()) - 1.0) > 1e-6:
         raise InvalidInputError(f"aggregation weights must sum to 1, got {w.sum()!r}")
     stacked = np.stack([m.values for m in models])

@@ -189,6 +189,15 @@ class TestAggregationWeights:
         with pytest.raises(InvalidInputError):
             aggregation_weights(np.array([10, 20]), np.array([-0.1, 0.5]))
 
+    @pytest.mark.parametrize(
+        "n, c",
+        [(["x", 2], [0.5, 0.5]), ([1, 2], ["x", 1]), ([1, None], [0.5, 0.5]), ([1, 2], [0.5, float("inf")])],
+        ids=["count-str", "weight-str", "count-None", "weight-inf"],
+    )
+    def test_junk_values_raise_invalid_input(self, n, c):
+        with pytest.raises(InvalidInputError):
+            aggregation_weights(n, c)
+
 
 class TestAggregate:
     def test_average_of_identical_models_is_the_model(self):
@@ -225,6 +234,12 @@ class TestAggregate:
             aggregate([m, m], np.array([0.7, 0.7]))
         with pytest.raises(InvalidInputError):
             aggregate([m, m], np.array([1.5, -0.5]))
+
+    @pytest.mark.parametrize("w", [["x"], [None], [float("nan")]], ids=["str", "None", "nan"])
+    def test_junk_weights_raise_invalid_input(self, w):
+        m = init_params(ArchSpec(3, (), 2), seed=0)
+        with pytest.raises(InvalidInputError):
+            aggregate([m], w)
 
 
 class TestStateValidation:

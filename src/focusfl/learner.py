@@ -10,6 +10,10 @@ coordinatewise.  The flat layout is, per layer in order::
 so ``values[-num_classes:]`` is always the output bias.  Gradients are
 computed analytically (softmax cross-entropy backprop through tanh layers);
 there is no autograd dependency.
+
+Local SGD (:func:`client_update`) steps in float32, casting once on the way
+in and once on the way out; everything else, the parameter vectors included,
+is float64.
 """
 
 from __future__ import annotations
@@ -224,9 +228,9 @@ def predict_proba(m: ModelParams, x) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """``(n, num_classes)`` float64 rows with a 1.0 in each label's column."""
-    onehot = np.zeros((labels.shape[0], num_classes))
+def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
+    """``(n, num_classes)`` rows of ``dtype`` with a 1.0 in each label's column."""
+    onehot = np.zeros((labels.shape[0], num_classes), dtype)
     onehot[np.arange(labels.shape[0]), labels] = 1.0
     return onehot
 
@@ -264,18 +268,23 @@ def loss_and_grad(m: ModelParams, batch: Dataset, reduction: str = "mean") -> Tu
     The loss is ``-log p(y_i | x_i)`` reduced over the batch by ``reduction``
     ("mean" or "sum"), with probabilities clamped at ``PROB_FLOOR`` before the
     log.  The gradient is a flat vector aligned with ``m.values``.
+
+    Everything is computed in the dtype of ``m.values``.  A ``ModelParams``
+    is always float64; an object whose values have the dtype
+    :func:`client_update` steps in replays one of its steps exactly.
     """
     check_reduction(reduction)
     check_fits(m.arch, batch, "batch")
-    arch, n = m.arch, batch.n
-    grad = np.empty(arch.parameter_count())
-    outs = [np.empty((n, width)) for width in arch.layer_dims[1:]]
-    backs = [np.empty((n, h)) for h in arch.hidden_dims]
+    arch, n, dtype = m.arch, batch.n, m.values.dtype
+    x = batch.features.astype(dtype, copy=False)
+    grad = np.empty(arch.parameter_count(), dtype)
+    outs = [np.empty((n, width), dtype) for width in arch.layer_dims[1:]]
+    backs = [np.empty((n, h), dtype) for h in arch.hidden_dims]
     layers, grad_layers = _layer_views(arch, m.values), _layer_views(arch, grad)
-    probs = _forward_into(layers, batch.features, outs, np.empty(n))
+    probs = _forward_into(layers, x, outs, np.empty(n, dtype))
     loss = cross_entropy(probs, batch.labels, reduction)
-    onehot = _one_hot(batch.labels, arch.num_classes)
-    _backward_into(layers, grad_layers, batch.features, onehot, outs, backs, reduction)
+    onehot = _one_hot(batch.labels, arch.num_classes, dtype)
+    _backward_into(layers, grad_layers, x, onehot, outs, backs, reduction)
     return loss, grad
 
 
@@ -288,7 +297,8 @@ def _minibatches(features, onehot, batch_size: int, rng: np.random.Generator):
     leading rows.
     """
     n = features.shape[0]
-    x_buf, t_buf = np.empty((batch_size, features.shape[1])), np.empty((batch_size, onehot.shape[1]))
+    x_buf = np.empty((batch_size, features.shape[1]), features.dtype)
+    t_buf = np.empty((batch_size, onehot.shape[1]), onehot.dtype)
     while True:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -311,24 +321,30 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     untouched; a fresh ``ModelParams`` is returned.  A non-finite loss or a
     non-finite parameter vector raises :class:`TrainingDivergenceError` with
     the offending step index.
+
+    The steps compute in float32: the parameters, features and one-hot
+    labels are cast once on the way in, and the result once back to float64
+    on the way out.  Parameters beyond float32's range (about 3.4e38) become
+    infinite in that cast, so they diverge at step 1.
     """
     check_fits(m0.arch, d, "training set")
     arch = m0.arch
-    values = m0.values.copy()
+    values = m0.values.astype(np.float32)
+    features = d.features.astype(np.float32)
+    onehot = _one_hot(d.labels, arch.num_classes, np.float32)
     grad = np.empty_like(values)
     layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
-    onehot = _one_hot(d.labels, arch.num_classes)
     # Steps reuse these buffers rather than allocate temporaries; a short
     # last mini-batch uses their leading rows.
     full = cfg.batch_size == "full" or cfg.batch_size >= d.n
     rows = d.n if full else cfg.batch_size
-    outs = [np.empty((rows, width)) for width in arch.layer_dims[1:]]
-    backs = [np.empty((rows, h)) for h in arch.hidden_dims]
-    shift = np.empty(rows)
+    outs = [np.empty((rows, width), np.float32) for width in arch.layer_dims[1:]]
+    backs = [np.empty((rows, h), np.float32) for h in arch.hidden_dims]
+    shift = np.empty(rows, np.float32)
     if full:
-        batches = itertools.repeat((d.features, onehot))
+        batches = itertools.repeat((features, onehot))
     else:
-        batches = _minibatches(d.features, onehot, rows, np.random.default_rng(cfg.seed))
+        batches = _minibatches(features, onehot, rows, np.random.default_rng(cfg.seed))
     for step in range(1, cfg.local_steps + 1):
         x, t = next(batches)
         n = x.shape[0]

@@ -188,18 +188,19 @@ class TestLossAndGrad:
 
 class TestClientUpdate:
     def test_full_batch_trajectory_matches_manual_replay(self):
-        """client_update is exactly local_steps applications of the SGD rule."""
+        """client_update is exactly local_steps applications of the SGD rule,
+        in float32, cast back to float64 once at the end."""
         rng = np.random.default_rng(31)
         arch = ArchSpec(4, (5,), 3)
         m0 = init_params(arch, seed=1)
         d = random_batch(rng, arch, n=16)
         cfg = SgdConfig(learning_rate=0.2, local_steps=7, batch_size="full", seed=0)
         trained = client_update(m0, d, cfg)
-        values = m0.values.copy()
+        values = m0.values.astype(np.float32)
         for _ in range(7):
-            _, grad = loss_and_grad(ModelParams(arch, values), d)
+            _, grad = loss_and_grad(_float32_model(arch, values), d)
             values = values - 0.2 * grad
-        np.testing.assert_array_equal(trained.values, values)
+        assert trained.values.tobytes() == values.astype(np.float64).tobytes()
 
     def test_minibatch_trajectory_with_short_last_chunk_matches_manual_replay(self):
         """Ten rows in chunks of four: every epoch ends on a two-row step."""
@@ -214,11 +215,11 @@ class TestClientUpdate:
         while len(chunks) < 8:
             perm = order.permutation(10)
             chunks.extend([perm[0:4], perm[4:8], perm[8:10]])
-        values = m0.values.copy()
+        values = m0.values.astype(np.float32)
         for idx in chunks[:8]:
-            _, grad = loss_and_grad(ModelParams(arch, values), d.subset(idx))
+            _, grad = loss_and_grad(_float32_model(arch, values), d.subset(idx))
             values = values - 0.2 * grad
-        np.testing.assert_array_equal(trained.values, values)
+        assert trained.values.tobytes() == values.astype(np.float64).tobytes()
 
     def test_minibatch_schedule_is_seeded(self):
         rng = np.random.default_rng(37)
@@ -268,14 +269,56 @@ class TestClientUpdate:
         assert excinfo.value.step == 1
         assert str(excinfo.value) == "non-finite training loss at step 1"
 
+    def test_returns_a_frozen_float64_model_and_leaves_m0_alone(self):
+        """The float32 steps show only in the values: the result is an
+        ordinary read-only float64 ``ModelParams``."""
+        rng = np.random.default_rng(47)
+        arch = ArchSpec(4, (6,), 3)
+        m0 = init_params(arch, seed=9)
+        before = m0.values.tobytes()
+        for batch_size in ("full", 4):
+            trained = client_update(m0, random_batch(rng, arch, 10), SgdConfig(0.3, 6, batch_size, seed=2))
+            assert isinstance(trained, ModelParams) and trained.arch == arch
+            assert trained.values.dtype == np.float64 and not trained.values.flags.writeable
+            assert np.array_equal(trained.values, trained.values.astype(np.float32))
+        assert m0.values.tobytes() == before and not m0.values.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_weights_beyond_float32_range_diverge_at_step_1(self):
+        """Weights of 1e39 are finite in float64, and on inputs of 1e-30 the
+        float64 logits would be a harmless +-1e9.  The float32 cast makes
+        them infinite, so the first forward pass gives inf - inf = nan."""
+        arch = ArchSpec(1, (), 2)
+        m0 = ModelParams(arch, np.array([1e39, -1e39, 0.0, 0.0]))
+        d = Dataset(np.array([[1e-30], [1e-30]]), np.array([0, 1]), 2)
+        with pytest.raises(TrainingDivergenceError) as excinfo:
+            client_update(m0, d, SgdConfig(learning_rate=0.1, local_steps=5))
+        assert excinfo.value.step == 1
+        assert str(excinfo.value) == "non-finite training loss at step 1"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "local_steps, message, step",
+        [(1, "non-finite parameters after step 1", 1), (5, "non-finite training loss at step 2", 2)],
+    )
+    def test_learning_rate_beyond_float32_range_diverges_at_a_pinned_step(self, local_steps, message, step):
+        """A learning rate of 1e39 is a valid float64, but it scales the first
+        gradient to inf in float32, so the parameters leave the finite range
+        after step 1 and the next step's loss is nan."""
+        rng = np.random.default_rng(53)
+        arch = ArchSpec(3, (4,), 2)
+        with pytest.raises(TrainingDivergenceError) as excinfo:
+            client_update(init_params(arch, seed=4), random_batch(rng, arch, 8), SgdConfig(1e39, local_steps))
+        assert (str(excinfo.value), excinfo.value.step) == (message, step)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_matches_a_loss_and_grad_replay(self):
         """client_update stops at the first step whose batch loss is non-finite.
 
-        The reference replays the same batches through ``loss_and_grad``.
-        Learning rates and weights near the float64 overflow edge make runs
-        diverge at various steps, or end with non-finite parameters, or
-        finish cleanly; every outcome and message must match.
+        The reference replays the same batches through ``loss_and_grad`` in
+        float32.  Learning rates and weights near the float32 overflow edge
+        make runs diverge at various steps, or end with non-finite
+        parameters, or finish cleanly; every outcome and message must match.
         """
         seen = set()
         for seed in range(300):
@@ -333,16 +376,26 @@ class TestValueRules:
             make()
 
 
+def _float32_model(arch, values):
+    """What ``client_update`` steps with: a parameter vector in float32.
+
+    ``ModelParams`` always holds float64, and ``loss_and_grad`` computes in
+    the dtype of the values it is given, so the replays pass a plain
+    namespace.  Its values may also go non-finite.
+    """
+    return SimpleNamespace(arch=arch, values=np.asarray(values, dtype=np.float32))
+
+
 def _overflow_case(seed):
-    """A small training problem whose learning rate and weights sit near overflow."""
+    """A small training problem whose learning rate and weights sit near float32 overflow."""
     rng = np.random.default_rng(seed)
     classes, dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     arch = ArchSpec(dim, () if rng.random() < 0.5 else (int(rng.integers(2, 9)),), classes)
     n = int(rng.integers(3, 12))
     d = Dataset(rng.standard_normal((n, dim)) * 10 ** rng.uniform(0, 3), rng.integers(0, classes, n), classes)
-    m0 = ModelParams(arch, init_params(arch, seed).values * 10 ** rng.uniform(280, 308))
+    m0 = ModelParams(arch, init_params(arch, seed).values * 10 ** rng.uniform(10, 38))
     batch_size = "full" if rng.random() < 0.5 else int(rng.integers(1, n))
-    cfg = SgdConfig(float(10 ** rng.uniform(304, 308.2)), int(rng.integers(1, 9)), batch_size, seed)
+    cfg = SgdConfig(float(10 ** rng.uniform(34, 38.5)), int(rng.integers(1, 9)), batch_size, seed)
     return m0, d, cfg
 
 
@@ -350,8 +403,6 @@ def _reference_outcome(m0, d, cfg):
     """What ``client_update`` must do, replayed step by step with ``loss_and_grad``.
 
     Returns ``("ok", final value bytes, None)`` or ``("raise", message, step)``.
-    The replay carries raw parameter vectors, which may go non-finite, so
-    ``loss_and_grad`` gets a plain namespace rather than a ``ModelParams``.
     """
     if cfg.batch_size == "full" or cfg.batch_size >= d.n:
         batches = itertools.repeat(np.arange(d.n))
@@ -362,15 +413,15 @@ def _reference_outcome(m0, d, cfg):
             for perm in map(order.permutation, itertools.repeat(d.n))
             for start in range(0, d.n, cfg.batch_size)
         )
-    values = m0.values.copy()
+    values = m0.values.astype(np.float32)
     for step in range(1, cfg.local_steps + 1):
-        loss, grad = loss_and_grad(SimpleNamespace(arch=m0.arch, values=values), d.subset(next(batches)))
+        loss, grad = loss_and_grad(_float32_model(m0.arch, values), d.subset(next(batches)))
         if not np.isfinite(loss):
             return ("raise", f"non-finite training loss at step {step}", step)
         values = values - cfg.learning_rate * grad
     if not np.all(np.isfinite(values)):
         return ("raise", f"non-finite parameters after step {cfg.local_steps}", cfg.local_steps)
-    return ("ok", values.tobytes(), None)
+    return ("ok", values.astype(np.float64).tobytes(), None)
 
 
 class TestAccuracy:

@@ -47,44 +47,44 @@ MIXED = ExperimentConfig(
 # case -> {artifact: sha256, or None when the run does not write it}
 PINS = {
     "usc-noisy/focus": {
-        "metrics.csv": "8f31a47b05a123d15b5d33e15039ed7dbbb9ad4ee70091500d3f319fe806af31",
-        "credibility.csv": "d140fe1fb563c92a5ae76c2b9779803252062045e581a5d40029d0c534d01f41",
-        "model.bin": "9e08ffb873c175dcbc83d2b7048889663ae5d83ee69e5c293827c9ac2f21df41",
-        "report_long.csv": "7c9f3fc44b332f2c9d9975b3be2f158a13f14677daf73b6bfaa8d06a92817928",
+        "metrics.csv": "5770acbef7196572d144e4fc5ca88a57821806e0bdd4273518e598a48d6f38ce",
+        "credibility.csv": "e72de72a46947eb54c2f2eed8ed710fee8fd8337fd40b7ff45a66aae461de05e",
+        "model.bin": "32b6d30ecef6dee0db9a30c8755049304a10f94717de674291b7ef3f5ddf9827",
+        "report_long.csv": "9d63c3c99ba86566c86ffe6f83d4dc65c4e99d408f0c6660c520565736691ed1",
     },
     "usc-noisy/fedavg": {
-        "metrics.csv": "7394989d3c787ba69d5298bdd5b74ea1ec45c0a8e493b83099e5839b5e6bfa2c",
+        "metrics.csv": "d7d212fa3568a8911e24a5a892a2daf90a1af570c9c0c131dee59e0f4cfd75b7",
         "credibility.csv": None,
-        "model.bin": "6e72b801d54fa4c725946f29470fc3c3a180011ddc7a44b5ba55325ad8f6660b",
-        "report_long.csv": "35f73985f4a5b3b623883840f7c986ab6a0b736a39d63790a771497e9dae64ae",
+        "model.bin": "c09824be1aa659a143b7aa854d42e680320b3891afc787043f967e3428fda195",
+        "report_long.csv": "3227ae3df62a1b4649e99d9942e7ac866eb3d0ff12c70bcaa0acccaa52b3aef7",
     },
     "usc-normal/focus": {
-        "metrics.csv": "9da761cec882dac869c67b48f9208f477f754ad399477f924de0c20551211225",
-        "credibility.csv": "b5613df89d41412dc55867136723d9b12fe3e9188bc98ff8e01c78f011b46e95",
-        "model.bin": "488ceec77735dd726040d3949383bc1241566556b64fb6c64a343f5844ae3773",
+        "metrics.csv": "4cb592bedfb8adec6bf582a977d2241e30d6184c291073f7dd626539900d5489",
+        "credibility.csv": "886b5a8275ccfc30bec8cfcf18e4ff120da547ed649b9a9aa01b6955f0a8a709",
+        "model.bin": "02e151a1da106d3d21a06af0ba905971b7fdf03c4681ded2ba5a6f36104b1d08",
     },
     "usc-normal/fedavg": {
-        "metrics.csv": "d7ff94b151cb0e47c4257256fdffe69412e5f076ad8e96b9c868f8d4828e4bfb",
+        "metrics.csv": "d834d8deaec2b08ebd6346659e8e5fb27ea541a1ef96be672b4fb596b9fc3c07",
         "credibility.csv": None,
-        "model.bin": "2c248de6f4c465aafd0cf44f2369e40319755754608fba0b9e2cf2f48385673c",
+        "model.bin": "7637f56dc8fd6d078505ba96d376ab95060155355f9ecd9b6ad93017360497a1",
     },
     "multi-tier/focus": {
-        "metrics.csv": "efc382d221eb553046bb32899bae8024abd0d71855ee8516be376147d2fb58a7",
-        "credibility.csv": "e1ad7672b67cdec15f167683a3e62a418e7a80ce2af3937d31dc29d1b6b1e470",
-        "model.bin": "ec9944702d0be15305ce5649267cba630ca1b83cd4f4f946f5dfca0fe2f40c5c",
+        "metrics.csv": "0e913f03ed0bbea90b5679e3dfd7a2a5d98100cd46a00c2ef309033cf071f402",
+        "credibility.csv": "6da61f5929ad86aa18f204fbe689563fcb504579aae1a56f853b5d78a6ee7b00",
+        "model.bin": "822872d7fa2e26fa98a464965c0c85f93dac2c4bb2f360d90e2d61e506a1a14d",
     },
     "mixed/focus": {
-        "metrics.csv": "b2f73b53b4a9f791e54e76f45bede80f8b6ed431b5913bb2272c7e753ba4f742",
-        "credibility.csv": "56da8e0bc94e971780b14efde8fc4a7ef8e147153194b370384182de5670a609",
-        "model.bin": "ba107e03f73e4cd73894614bba8f1e522dce29fad3fd445d3812f293a6739105",
+        "metrics.csv": "ee710e32e63569d0904f55564a13ba4fe407f5482a352f0efa2cd20d55d52497",
+        "credibility.csv": "948867a8c4c99711d317bceb7b73d070d9720cea4ee56d0debc0361fe08d5cfe",
+        "model.bin": "8fc207535cfd04af39ea6f25f3f78e7632568333c346d508756a08c332907d46",
     },
     "mixed/fedavg": {
-        "metrics.csv": "a3efcdf0f640d936b13a720eb949f9dd03967ee397023bd0c45300263145729b",
+        "metrics.csv": "adb89f9199bf0420b0eb1be560a1594ace15f659b9d883c91c84422b980015f3",
         "credibility.csv": None,
-        "model.bin": "f76fe4123742729aac51f36f1212aa09e440d45e8d41124588b3ab25fb0eb265",
+        "model.bin": "be30f85e2252a8ae32253dc10938cd97710bf28b1deac8fe0c3d241120b13f0b",
     },
     "mixed/local_baseline": {
-        "metrics.csv": "b9df42f4dbbadd7d495016e12a2d34a511db7353c3fab4d11530099bc0cc720b",
+        "metrics.csv": "8e5ea13b54b33fb8fa56a7aca82e480a85dc5d060aa651d06337ce17ff8de455",
         "credibility.csv": None,
         "model.bin": None,
     },

@@ -325,7 +325,8 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     The steps compute in float32: the parameters, features and one-hot
     labels are cast once on the way in, and the result once back to float64
     on the way out.  Parameters beyond float32's range (about 3.4e38) become
-    infinite in that cast, so they diverge at step 1.
+    infinite in that cast, so training from them raises
+    :class:`TrainingDivergenceError`.
     """
     check_fits(m0.arch, d, "training set")
     arch = m0.arch

@@ -237,9 +237,9 @@ class TestClientUpdate:
         rng = np.random.default_rng(41)
         arch = ArchSpec(3, (), 2)
         m0 = init_params(arch, seed=5)
-        before = m0.values.copy()
+        before = m0.values.tobytes()
         client_update(m0, random_batch(rng, arch, 10), SgdConfig(0.5, 5))
-        assert np.array_equal(m0.values, before)
+        assert m0.values.tobytes() == before
 
     def test_training_reduces_loss_on_separable_data(self):
         rng = np.random.default_rng(43)
@@ -269,19 +269,17 @@ class TestClientUpdate:
         assert excinfo.value.step == 1
         assert str(excinfo.value) == "non-finite training loss at step 1"
 
-    def test_returns_a_frozen_float64_model_and_leaves_m0_alone(self):
+    def test_returns_a_frozen_float64_model(self):
         """The float32 steps show only in the values: the result is an
         ordinary read-only float64 ``ModelParams``."""
         rng = np.random.default_rng(47)
         arch = ArchSpec(4, (6,), 3)
         m0 = init_params(arch, seed=9)
-        before = m0.values.tobytes()
         for batch_size in ("full", 4):
             trained = client_update(m0, random_batch(rng, arch, 10), SgdConfig(0.3, 6, batch_size, seed=2))
             assert isinstance(trained, ModelParams) and trained.arch == arch
             assert trained.values.dtype == np.float64 and not trained.values.flags.writeable
             assert np.array_equal(trained.values, trained.values.astype(np.float32))
-        assert m0.values.tobytes() == before and not m0.values.flags.writeable
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_weights_beyond_float32_range_diverge_at_step_1(self):

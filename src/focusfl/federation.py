@@ -159,10 +159,14 @@ def model_test(m: ModelParams, d: Dataset, reduction: str = "mean") -> float:
     ``learner.PROB_FLOOR``, reduced by ``reduction`` ("mean" averages over
     rows, "sum" adds them up).  This is the scoring primitive used both
     server-side (benchmark) and client-side (own shard).
+
+    The forward pass runs in float32, the parameters and features cast once
+    on the way in; the log and the reduction run in float64, so the floor
+    is exactly ``PROB_FLOOR`` and the score is a float64 Python float.
     """
     learner.check_reduction(reduction)
     learner.check_fits(m.arch, d, "scored dataset")
-    return learner.cross_entropy(learner.forward(m.arch, m.values, d.features), d.labels, reduction)
+    return learner.cross_entropy(learner._forward32(m, d), d.labels, reduction)
 
 
 def credibilities(e, alpha: float = 1.0) -> np.ndarray:

@@ -11,9 +11,11 @@ so ``values[-num_classes:]`` is always the output bias.  Gradients are
 computed analytically (softmax cross-entropy backprop through tanh layers);
 there is no autograd dependency.
 
-Local SGD (:func:`client_update`) steps in float32, casting once on the way
-in and once on the way out; everything else, the parameter vectors included,
-is float64.
+Local SGD (:func:`client_update`) and every forward pass over a dataset
+(:func:`accuracy` and ``federation.model_test``) compute in float32, casting
+once on the way in.  Everything they return, the parameter vectors, and
+:func:`predict_proba` and :func:`loss_and_grad` on a ``ModelParams`` are
+float64.
 """
 
 from __future__ import annotations
@@ -171,20 +173,31 @@ def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray], shift: np.ndarr
 
 
 def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities of the network for the batch ``x``, in fresh arrays."""
-    outs = [np.empty((x.shape[0], width)) for width in arch.layer_dims[1:]]
-    return _forward_into(_layer_views(arch, values), x, outs, np.empty(x.shape[0]))
+    """Class probabilities of the network for the batch ``x``, in fresh arrays.
+
+    The arrays have the dtype of ``values``; ``x`` should share it.
+    """
+    dtype = values.dtype
+    outs = [np.empty((x.shape[0], width), dtype) for width in arch.layer_dims[1:]]
+    return _forward_into(_layer_views(arch, values), x, outs, np.empty(x.shape[0], dtype))
+
+
+def _forward32(m: ModelParams, d: Dataset) -> np.ndarray:
+    """Float32 class probabilities of ``m`` on every row of ``d``; nothing is validated."""
+    return forward(m.arch, m.values.astype(np.float32), d.features.astype(np.float32))
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
     """Negative log-likelihood of labels ``y`` under row probabilities ``probs``.
 
-    Probabilities are clamped at ``PROB_FLOOR`` before the log, and the
+    The label column's probabilities are cast to float64 and clamped at
+    ``PROB_FLOOR`` before the log, whatever the dtype of ``probs``, and the
     per-row losses are reduced by ``reduction`` ("mean" or "sum").  Inputs are
     not validated; callers pass arrays whose shapes already agree.
     """
     n = y.shape[0]
-    loss = -float(np.log(np.maximum(probs[np.arange(n), y], PROB_FLOOR)).sum())
+    picked = probs[np.arange(n), y].astype(np.float64, copy=False)
+    loss = -float(np.log(np.maximum(picked, PROB_FLOOR)).sum())
     return loss / n if reduction == "mean" else loss
 
 
@@ -269,9 +282,11 @@ def loss_and_grad(m: ModelParams, batch: Dataset, reduction: str = "mean") -> Tu
     ("mean" or "sum"), with probabilities clamped at ``PROB_FLOOR`` before the
     log.  The gradient is a flat vector aligned with ``m.values``.
 
-    Everything is computed in the dtype of ``m.values``.  A ``ModelParams``
-    is always float64; an object whose values have the dtype
-    :func:`client_update` steps in replays one of its steps exactly.
+    The passes compute in the dtype of ``m.values``, and the loss's log in
+    float64 (see :func:`cross_entropy`).  A ``ModelParams`` is always
+    float64; an object whose values are float32 replays one step of
+    :func:`client_update`, and the loss ``federation.model_test`` scores,
+    exactly.
     """
     check_reduction(reduction)
     check_fits(m.arch, batch, "batch")
@@ -369,7 +384,9 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
 def accuracy(m: ModelParams, d: Dataset) -> float:
     """Fraction of rows in ``d`` whose argmax prediction matches the label.
 
-    Ties in the probability vector resolve to the lowest class index.
+    The forward pass runs in float32, the parameters and features cast once
+    on the way in.  Ties in the probability vector resolve to the lowest
+    class index.
     """
     check_fits(m.arch, d, "dataset")
-    return float(np.mean(forward(m.arch, m.values, d.features).argmax(axis=1) == d.labels))
+    return float(np.mean(_forward32(m, d).argmax(axis=1) == d.labels))

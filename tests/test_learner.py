@@ -437,6 +437,15 @@ class TestAccuracy:
         d = Dataset(np.ones((6, 2)), np.array([0, 0, 1, 1, 2, 2]), 3)
         np.testing.assert_allclose(accuracy(m, d), 2.0 / 6.0)
 
+    def test_predicts_in_float32(self):
+        """A logit margin of 1e-10 decides the class in float64, but
+        exp(-1e-10) rounds to 1 in float32, so the rows tie and class 0 wins."""
+        arch = ArchSpec(1, (), 2)
+        m = ModelParams(arch, np.array([0.0, 0.0, 0.0, 1e-10]))
+        d = Dataset(np.ones((2, 1)), np.array([1, 1]), 2)
+        assert predict_proba(m, d.features).argmax(axis=1).tolist() == [1, 1]
+        assert accuracy(m, d) == 0.0
+
     def test_rejects_empty_dataset(self):
         m = init_params(ArchSpec(2, (), 2), seed=0)
         with pytest.raises(InvalidInputError):

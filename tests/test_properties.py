@@ -20,10 +20,11 @@ from focusfl.federation import (
     focus_round,
     init_server,
     load_model,
+    model_test,
     save_model,
 )
 from focusfl.harness import AGGREGATORS, ExperimentConfig
-from focusfl.learner import ArchSpec, ModelParams, SgdConfig, forward, init_params
+from focusfl.learner import ArchSpec, ModelParams, SgdConfig, accuracy, forward, init_params, predict_proba
 
 # Derandomized so a tier-1 run is repeatable; examples stay few to keep it fast.
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -245,8 +246,15 @@ _bias_entries = st.floats(-10, 10) | st.sampled_from([np.inf, -np.inf, np.nan, 1
 
 
 @FEW
-@given(st.data(), st.sampled_from((2, 3, 4, 10)), st.sampled_from(((), (3,))), st.integers(1, 12))
-def test_forward_equals_the_max_shift_reference_bit_for_bit(data, classes, hidden, rows):
+@given(
+    st.data(),
+    st.sampled_from((np.float64, np.float32)),
+    st.sampled_from((2, 3, 4, 10)),
+    st.sampled_from(((), (3,))),
+    st.integers(1, 12),
+)
+def test_forward_equals_the_max_shift_reference_bit_for_bit(data, dtype, classes, hidden, rows):
+    """Both compute in ``dtype``: float64 for ``predict_proba``, float32 for scoring."""
     arch = ArchSpec(classes, hidden, classes)
     n_weights = arch.parameter_count() - classes
     if hidden:
@@ -254,9 +262,28 @@ def test_forward_equals_the_max_shift_reference_bit_for_bit(data, classes, hidde
     else:  # the logits are then exactly features + bias
         weights = np.eye(classes).ravel()
     bias = data.draw(st.lists(_bias_entries, min_size=classes, max_size=classes))
-    values = np.concatenate([weights, bias])
     x = np.array(data.draw(st.lists(any_finite, min_size=rows * classes, max_size=rows * classes)))
-    x = x.reshape(rows, classes)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # float32 casts of huge entries overflow to inf
+        values = np.concatenate([weights, bias]).astype(dtype)
+        x = x.reshape(rows, classes).astype(dtype)
         got, want = forward(arch, values, x), _reference_forward(arch, values, x)
+    assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
+
+
+@FEW
+@given(_models(), st.data())
+def test_scoring_returns_floats_and_leaves_the_model_alone(m, data):
+    """``predict_proba`` stays float64; the float32 scoring passes return
+    Python floats and write nothing into the model they cast."""
+    rows = data.draw(st.integers(1, 6))
+    x = np.array(data.draw(st.lists(finite, min_size=rows * m.arch.input_dim, max_size=rows * m.arch.input_dim)))
+    y = data.draw(st.lists(st.integers(0, m.arch.num_classes - 1), min_size=rows, max_size=rows))
+    d = Dataset(x.reshape(rows, m.arch.input_dim), np.array(y), m.arch.num_classes)
+    before = m.values.tobytes()
+    with np.errstate(all="ignore"):  # the model's values may overflow float32
+        probs = predict_proba(m, d.features)
+        scores = [model_test(m, d, "mean"), model_test(m, d, "sum"), accuracy(m, d)]
+    assert probs.dtype == np.float64
+    assert [type(v) for v in scores] == [float, float, float]
+    assert m.values.dtype == np.float64 and m.values.tobytes() == before

@@ -47,44 +47,44 @@ MIXED = ExperimentConfig(
 # case -> {artifact: sha256, or None when the run does not write it}
 PINS = {
     "usc-noisy/focus": {
-        "metrics.csv": "5770acbef7196572d144e4fc5ca88a57821806e0bdd4273518e598a48d6f38ce",
-        "credibility.csv": "e72de72a46947eb54c2f2eed8ed710fee8fd8337fd40b7ff45a66aae461de05e",
-        "model.bin": "32b6d30ecef6dee0db9a30c8755049304a10f94717de674291b7ef3f5ddf9827",
-        "report_long.csv": "9d63c3c99ba86566c86ffe6f83d4dc65c4e99d408f0c6660c520565736691ed1",
+        "metrics.csv": "a3a36b0c30eb4c6bc94b1a310e5122774342510f30ac7f19393c80862641b735",
+        "credibility.csv": "7472cc9118a975d508752224b1734c1bd52734662a6fc7c9fed4c37beb2bcf01",
+        "model.bin": "614204e2cfc71e812d61e4b764a682fdf48ba86102be9a6ed6a52d01ae2b5970",
+        "report_long.csv": "4f24e7f011aba11f43c0147a3a31d7d84037849184883ebf0ca849fd26db6cb8",
     },
     "usc-noisy/fedavg": {
-        "metrics.csv": "d7d212fa3568a8911e24a5a892a2daf90a1af570c9c0c131dee59e0f4cfd75b7",
+        "metrics.csv": "82037873a73aef4646e7733535a62d5ea9cf5ad243f93bdaec04cdb2fe3778fc",
         "credibility.csv": None,
         "model.bin": "c09824be1aa659a143b7aa854d42e680320b3891afc787043f967e3428fda195",
-        "report_long.csv": "3227ae3df62a1b4649e99d9942e7ac866eb3d0ff12c70bcaa0acccaa52b3aef7",
+        "report_long.csv": "223dce2c8441002d830715af2609ae4ea171161df045598f51c65ff6f03e70b5",
     },
     "usc-normal/focus": {
-        "metrics.csv": "4cb592bedfb8adec6bf582a977d2241e30d6184c291073f7dd626539900d5489",
-        "credibility.csv": "886b5a8275ccfc30bec8cfcf18e4ff120da547ed649b9a9aa01b6955f0a8a709",
-        "model.bin": "02e151a1da106d3d21a06af0ba905971b7fdf03c4681ded2ba5a6f36104b1d08",
+        "metrics.csv": "8a64ffe38812d7658e167f3e5a9e4b478caf16ebfece3b9bf542ee58e9b3fb4c",
+        "credibility.csv": "f219eeb12a25398fedb50d6dff9a5a23f7f5954801e5e141a51e1a2b9dc79d31",
+        "model.bin": "b96f8182c004843e4d2dd9f33f0d789c5c8c7fe08356f81749ccd9b51cedc4da",
     },
     "usc-normal/fedavg": {
-        "metrics.csv": "d834d8deaec2b08ebd6346659e8e5fb27ea541a1ef96be672b4fb596b9fc3c07",
+        "metrics.csv": "973768b02dd4d9b6d8b9f5e69ff46572debef2090022e3c062541bc8ffd6b028",
         "credibility.csv": None,
         "model.bin": "7637f56dc8fd6d078505ba96d376ab95060155355f9ecd9b6ad93017360497a1",
     },
     "multi-tier/focus": {
-        "metrics.csv": "0e913f03ed0bbea90b5679e3dfd7a2a5d98100cd46a00c2ef309033cf071f402",
-        "credibility.csv": "6da61f5929ad86aa18f204fbe689563fcb504579aae1a56f853b5d78a6ee7b00",
-        "model.bin": "822872d7fa2e26fa98a464965c0c85f93dac2c4bb2f360d90e2d61e506a1a14d",
+        "metrics.csv": "dcc249537ea4e4c9baaf95cb6ad5111eba0c3b3010c9f3a29306e784f27f36de",
+        "credibility.csv": "23b69928ca6873ad58d627faf0e43ce2ed8dfe7d7492a1ad5fd86e01da46d258",
+        "model.bin": "6775e1a417346e35329d0c1622ab94790a5f9e75c38b6083a2b76662b1e5e53e",
     },
     "mixed/focus": {
-        "metrics.csv": "ee710e32e63569d0904f55564a13ba4fe407f5482a352f0efa2cd20d55d52497",
-        "credibility.csv": "948867a8c4c99711d317bceb7b73d070d9720cea4ee56d0debc0361fe08d5cfe",
-        "model.bin": "8fc207535cfd04af39ea6f25f3f78e7632568333c346d508756a08c332907d46",
+        "metrics.csv": "9b92546c25000fa3064ff78bc2698a860b2c2f94bcead3a76c956ab7758e5475",
+        "credibility.csv": "16d615873321c979b27043818d0167b306a44263b9071b682f49a4d413d87fb2",
+        "model.bin": "ac87fceb301b9a08321aa9f891d43a5704e2a833cdf476cc0a8fd236262b0907",
     },
     "mixed/fedavg": {
-        "metrics.csv": "adb89f9199bf0420b0eb1be560a1594ace15f659b9d883c91c84422b980015f3",
+        "metrics.csv": "d1376fec14ec103d63594e7287e5fc1d8ea05a3599ea74149d2c112210a79168",
         "credibility.csv": None,
         "model.bin": "be30f85e2252a8ae32253dc10938cd97710bf28b1deac8fe0c3d241120b13f0b",
     },
     "mixed/local_baseline": {
-        "metrics.csv": "8e5ea13b54b33fb8fa56a7aca82e480a85dc5d060aa651d06337ce17ff8de455",
+        "metrics.csv": "4515bf53906805a817d17517cdd93a91cfb4a7ea82a299e4a52dc7ae66c5fd10",
         "credibility.csv": None,
         "model.bin": None,
     },

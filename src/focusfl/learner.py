@@ -13,9 +13,9 @@ there is no autograd dependency.
 
 Local SGD (:func:`client_update`) and every forward pass over a dataset
 (:func:`accuracy` and ``federation.model_test``) compute in float32, casting
-once on the way in.  Everything they return, the parameter vectors, and
-:func:`predict_proba` and :func:`loss_and_grad` on a ``ModelParams`` are
-float64.
+once on the way in.  What they return is float64, and so are the parameter
+vectors and :func:`predict_proba` and :func:`loss_and_grad` on a
+``ModelParams``.
 """
 
 from __future__ import annotations

@@ -264,15 +264,8 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     for ns in cfg.noise:
         for k in ns.target_clients:
             child_seed = int(np.random.SeedSequence([ns.seed, k]).generate_state(1, dtype=np.uint64)[0])
-            per_client = NoiseSpec(
-                kind=ns.kind,
-                fraction=ns.fraction,
-                target_clients=(),
-                seed=child_seed,
-                flip_map=ns.flip_map,
-            )
             try:
-                shards[k] = inject_noise(shards[k], per_client)
+                shards[k] = inject_noise(shards[k], replace(ns, target_clients=(), seed=child_seed))
             except InvalidInputError as exc:
                 raise ConfigurationError(f"noise spec for client {k}: {exc}") from exc
     arch = ArchSpec(source.dim, cfg.hidden_dims, source.num_classes)

@@ -183,8 +183,16 @@ def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _forward32(m: ModelParams, d: Dataset) -> np.ndarray:
-    """Float32 class probabilities of ``m`` on every row of ``d``; nothing is validated."""
-    return forward(m.arch, m.values.astype(np.float32), d.features.astype(np.float32))
+    """Float32 class probabilities of ``m`` on every row of ``d``.
+
+    Raises :class:`InvalidInputError` when a parameter lies beyond float32's
+    range, since the cast would make it infinite and every score ``nan``.
+    ``d`` is not validated.
+    """
+    values = m.values.astype(np.float32)
+    if not np.isfinite(values).all():
+        raise InvalidInputError("model parameters lie beyond float32's range and cannot be scored")
+    return forward(m.arch, values, d.features.astype(np.float32))
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:

@@ -4,10 +4,12 @@ Each test prints one `ACCEPTANCE <n> <name>: PASS/FAIL (<detail>)` line
 directly to the terminal (bypassing capture) and then asserts, so a plain
 `pytest -v` shows the verdict for every criterion.
 
-Criteria 5-8 share one battery of paired runs: for each master seed 0..9,
-the default 4-client scenario is run with and without one fully
-label-randomized client, under both aggregators.  Pairing means the two
-aggregators see byte-identical data, initialization, and batch schedules.
+Criteria 4-9 and 11 share one battery (``run_battery``): for each master
+seed 0..9, the default 4-client scenario is run with and without one fully
+label-randomized client, under both aggregators, plus one multi-tier run.
+Pairing means the two aggregators see byte-identical data, initialization,
+and batch schedules.  Gates 05-09 are functions of the battery, so
+``scripts/gate_envelope.py`` applies the same rules to other seeds.
 """
 
 import time
@@ -24,8 +26,13 @@ from focusfl.learner import ArchSpec, ModelParams, init_params, loss_and_grad
 SEEDS = tuple(range(10))
 
 
+def gate_line(num, name, ok, detail):
+    """The one-line verdict of gate ``num``, as this suite and ``scripts/gate_envelope.py`` print it."""
+    return f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+
+
 def record(capsys, num, name, ok, detail):
-    line = f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+    line = gate_line(num, name, ok, detail)
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
@@ -68,25 +75,104 @@ def multi_tier_config(seed):
     )
 
 
+def paired_runs(make_config, seeds):
+    """``{seed: {"focus": result, "fedavg": result}}``, run through ``run_many``."""
+    results = iter(run_many([make_config(s, agg) for s in seeds for agg in ("focus", "fedavg")]))
+    return {s: {agg: next(results) for agg in ("focus", "fedavg")} for s in seeds}
+
+
+def run_battery(seeds):
+    """Every run that gates 04-09 and 11 read, for ``seeds``.
+
+    ``noisy`` and ``normal`` map each seed to its focus/fedavg pair,
+    ``multi_tier`` maps it to one focus run, and ``noisy_seconds`` is the
+    wall time of the noisy pairs.
+    """
+    t0 = time.perf_counter()
+    noisy = paired_runs(noisy_config, seeds)
+    noisy_seconds = time.perf_counter() - t0
+    normal = paired_runs(normal_config, seeds)
+    multi_tier = dict(zip(seeds, run_many([multi_tier_config(s) for s in seeds])))
+    return {"noisy": noisy, "normal": normal, "multi_tier": multi_tier, "noisy_seconds": noisy_seconds}
+
+
+def noisy_scenario_direction(battery):
+    """With one fully randomized client, the credibility-weighted run beats
+    the sample-weighted baseline by >= 2 points in >= 9/10 seeds."""
+    gaps = [p["focus"].final_accuracy - p["fedavg"].final_accuracy for p in battery["noisy"].values()]
+    wins = sum(g >= 0.02 for g in gaps)
+    elapsed = battery["noisy_seconds"]
+    rows = rows_in_test_set(noisy_config)
+    detail = (
+        f"{wins}/{len(gaps)} seeds with gap >= 2pp, min {min(gaps):+.3f} ({in_rows(min(gaps), rows)}), "
+        f"median {np.median(gaps):+.3f} ({in_rows(np.median(gaps), rows)}), {elapsed:.0f}s"
+    )
+    return wins >= 9 and elapsed < 300.0, detail
+
+
+def normal_scenario_parity(battery):
+    """Without noise the two aggregators stay within 1 point of each other
+    in >= 9/10 seeds."""
+    diffs = [abs(p["focus"].final_accuracy - p["fedavg"].final_accuracy) for p in battery["normal"].values()]
+    close = sum(d <= 0.01 for d in diffs)
+    rows = rows_in_test_set(normal_config)
+    detail = f"{close}/{len(diffs)} seeds within 1pp, max |diff| {max(diffs):.3f} ({in_rows(max(diffs), rows)})"
+    return close >= 9, detail
+
+
+def weight_suppression(battery):
+    """The randomized client's final weight falls below half the clean mean
+    in every seed, while clean clients stay mutually within 20%."""
+    weights = [np.array(p["focus"].final_weights) for p in battery["noisy"].values()]
+    suppressed = sum(w[0] < 0.5 * w[1:].mean() for w in weights)
+    balanced = sum(w[1:].max() <= 1.2 * w[1:].min() for w in weights)
+    ratios = [w[0] / w[1:].mean() for w in weights]
+    spreads = [w[1:].max() / w[1:].min() for w in weights]
+    detail = (
+        f"suppressed {suppressed}/{len(weights)} (worst noisy/clean {max(ratios):.3f}), "
+        f"balanced {balanced}/{len(weights)} (worst clean max/min {max(spreads):.3f})"
+    )
+    return bool(suppressed == balanced == len(weights)), detail
+
+
+def loss_signature(battery):
+    """Declining to fit noise leaves a larger final federated training loss
+    than averaging it in, in >= 8/10 seeds."""
+    diffs = [p["focus"].final_fl_loss - p["fedavg"].final_fl_loss for p in battery["noisy"].values()]
+    higher = sum(d > 0 for d in diffs)
+    detail = f"{higher}/{len(diffs)} seeds with larger final fl_loss, min focus - fedavg {min(diffs):+.4f}"
+    return higher >= 8, detail
+
+
+def multi_tier_weight_ordering(battery):
+    """With noise fractions (0, 0, 0.5), the half-noisy client ends with the
+    strictly smallest weight in every seed."""
+    weights = [r.final_weights for r in battery["multi_tier"].values()]
+    smallest = sum(w[2] < w[0] and w[2] < w[1] for w in weights)
+    margins = [min(w[0], w[1]) - w[2] for w in weights]
+    return smallest == len(weights), f"{smallest}/{len(weights)} seeds, min margin {min(margins):+.4f}"
+
+
+# Gates 05-09, each a function of a battery that returns ``(ok, detail)``.
+BATTERY_GATES = {
+    5: noisy_scenario_direction,
+    6: normal_scenario_parity,
+    7: weight_suppression,
+    8: loss_signature,
+    9: multi_tier_weight_ordering,
+}
+
+
+def battery_gate(num, battery):
+    """``(num, name, ok, detail)`` of gate ``num`` on ``battery``: the arguments of ``gate_line``."""
+    gate = BATTERY_GATES[num]
+    return (num, gate.__name__.replace("_", "-"), *gate(battery))
+
+
 @pytest.fixture(scope="module")
 def battery():
-    """All paired runs for criteria 5-8 (and audited by 4 and 11)."""
-    t0 = time.perf_counter()
-    noisy = paired_runs(noisy_config)
-    noisy_seconds = time.perf_counter() - t0
-    normal = paired_runs(normal_config)
-    return {"noisy": noisy, "normal": normal, "noisy_seconds": noisy_seconds}
-
-
-def paired_runs(make_config):
-    """``{seed: {"focus": result, "fedavg": result}}``, run through ``run_many``."""
-    results = iter(run_many([make_config(s, agg) for s in SEEDS for agg in ("focus", "fedavg")]))
-    return {s: {agg: next(results) for agg in ("focus", "fedavg")} for s in SEEDS}
-
-
-@pytest.fixture(scope="module")
-def multi_tier():
-    return dict(zip(SEEDS, run_many([multi_tier_config(s) for s in SEEDS])))
+    """The battery on seeds 0-9, read by criteria 4-9 and 11."""
+    return run_battery(SEEDS)
 
 
 class TestAcceptance:
@@ -171,7 +257,7 @@ class TestAcceptance:
         ok = err_hand <= 1e-9 and err_equal <= 1e-12
         record(capsys, 3, "credibility-unit-values", ok, f"hand err {err_hand:.2e}, equal-E err {err_equal:.2e}")
 
-    def test_04_simplex_invariant(self, capsys, battery, multi_tier):
+    def test_04_simplex_invariant(self, capsys, battery):
         """Every round of every acceptance run keeps weights non-negative and
         summing to 1 within 1e-9."""
         audited = 0
@@ -179,7 +265,7 @@ class TestAcceptance:
         nonneg = True
         results = [r for seed in SEEDS for r in battery["noisy"][seed].values()]
         results += [r for seed in SEEDS for r in battery["normal"][seed].values()]
-        results += list(multi_tier.values())
+        results += list(battery["multi_tier"].values())
         for result in results:
             for m in result.metrics:
                 if m.cred is not None:
@@ -193,88 +279,19 @@ class TestAcceptance:
         record(capsys, 4, "simplex-invariant", ok, f"{audited} rounds audited, worst |sum-1| {worst:.2e}")
 
     def test_05_noisy_scenario_direction(self, capsys, battery):
-        """With one fully randomized client, the credibility-weighted run
-        beats the sample-weighted baseline by >= 2 points in >= 9/10 seeds."""
-        gaps = [
-            battery["noisy"][s]["focus"].final_accuracy - battery["noisy"][s]["fedavg"].final_accuracy
-            for s in SEEDS
-        ]
-        wins = sum(g >= 0.02 for g in gaps)
-        elapsed = battery["noisy_seconds"]
-        ok = wins >= 9 and elapsed < 300.0
-        rows = rows_in_test_set(noisy_config)
-        record(
-            capsys,
-            5,
-            "noisy-scenario-direction",
-            ok,
-            f"{wins}/10 seeds with gap >= 2pp, min {min(gaps):+.3f} ({in_rows(min(gaps), rows)}), "
-            f"median {np.median(gaps):+.3f} ({in_rows(np.median(gaps), rows)}), {elapsed:.0f}s",
-        )
+        record(capsys, *battery_gate(5, battery))
 
     def test_06_normal_scenario_parity(self, capsys, battery):
-        """Without noise the two aggregators stay within 1 point of each
-        other in >= 9/10 seeds."""
-        diffs = [
-            abs(battery["normal"][s]["focus"].final_accuracy - battery["normal"][s]["fedavg"].final_accuracy)
-            for s in SEEDS
-        ]
-        close = sum(d <= 0.01 for d in diffs)
-        ok = close >= 9
-        rows = rows_in_test_set(normal_config)
-        record(
-            capsys,
-            6,
-            "normal-scenario-parity",
-            ok,
-            f"{close}/10 seeds within 1pp, max |diff| {max(diffs):.3f} ({in_rows(max(diffs), rows)})",
-        )
+        record(capsys, *battery_gate(6, battery))
 
     def test_07_weight_suppression(self, capsys, battery):
-        """The randomized client's final weight falls below half the clean
-        mean in every seed, while clean clients stay mutually within 20%."""
-        suppressed = 0
-        balanced = 0
-        ratios = []
-        for s in SEEDS:
-            w = np.array(battery["noisy"][s]["focus"].final_weights)
-            clean = w[1:]
-            ratios.append(w[0] / clean.mean())
-            if w[0] < 0.5 * clean.mean():
-                suppressed += 1
-            if clean.max() <= 1.2 * clean.min():
-                balanced += 1
-        ok = suppressed == 10 and balanced == 10
-        record(
-            capsys,
-            7,
-            "weight-suppression",
-            ok,
-            f"suppressed {suppressed}/10 (worst noisy/clean {max(ratios):.3f}), balanced {balanced}/10",
-        )
+        record(capsys, *battery_gate(7, battery))
 
     def test_08_loss_signature(self, capsys, battery):
-        """Declining to fit noise leaves a larger final federated training
-        loss than averaging it in, in >= 8/10 seeds."""
-        higher = sum(
-            battery["noisy"][s]["focus"].final_fl_loss > battery["noisy"][s]["fedavg"].final_fl_loss
-            for s in SEEDS
-        )
-        ok = higher >= 8
-        record(capsys, 8, "loss-signature", ok, f"{higher}/10 seeds with larger final fl_loss")
+        record(capsys, *battery_gate(8, battery))
 
-    def test_09_multi_tier_weight_ordering(self, capsys, multi_tier):
-        """With noise fractions (0, 0, 0.5), the half-noisy client ends with
-        the strictly smallest weight in every seed."""
-        smallest = 0
-        margins = []
-        for s in SEEDS:
-            w = multi_tier[s].final_weights
-            margins.append(min(w[0], w[1]) - w[2])
-            if w[2] < w[0] and w[2] < w[1]:
-                smallest += 1
-        ok = smallest == 10
-        record(capsys, 9, "multi-tier-weight-ordering", ok, f"{smallest}/10 seeds, min margin {min(margins):+.4f}")
+    def test_09_multi_tier_weight_ordering(self, capsys, battery):
+        record(capsys, *battery_gate(9, battery))
 
     def test_10_byte_identical_reruns(self, capsys, tmp_path, monkeypatch):
         """Running the CLI twice on one config yields byte-identical

@@ -133,27 +133,6 @@ class TestPredictProba:
 
 
 class TestLossAndGrad:
-    def test_gradient_matches_central_finite_differences(self):
-        """Analytic gradients agree with (f(x+h) - f(x-h)) / 2h per coordinate."""
-        rng = np.random.default_rng(101)
-        archs = [ArchSpec(3, (), 2), ArchSpec(4, (5,), 3), ArchSpec(2, (4, 3), 2)]
-        step = 1e-4
-        for trial in range(12):
-            arch = archs[trial % len(archs)]
-            m = init_params(arch, seed=int(rng.integers(1 << 30)))
-            batch = random_batch(rng, arch, n=int(rng.integers(2, 12)))
-            reduction = "mean" if trial % 2 == 0 else "sum"
-            _, grad = loss_and_grad(m, batch, reduction)
-            for j in range(arch.parameter_count()):
-                up = m.values.copy()
-                up[j] += step
-                down = m.values.copy()
-                down[j] -= step
-                lu, _ = loss_and_grad(ModelParams(arch, up), batch, reduction)
-                ld, _ = loss_and_grad(ModelParams(arch, down), batch, reduction)
-                fd = (lu - ld) / (2 * step)
-                assert abs(grad[j] - fd) < 1e-5, f"coordinate {j} of {arch.layer_dims}"
-
     def test_sum_reduction_is_n_times_mean(self):
         rng = np.random.default_rng(23)
         arch = ArchSpec(5, (6,), 3)

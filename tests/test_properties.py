@@ -5,12 +5,13 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from focusfl.cli import parse_config_text
 from focusfl.data import Dataset, PartitionPlan, load_binary, load_csv, partition, save_binary, save_csv
-from focusfl.errors import ConfigurationError
+from focusfl.errors import ConfigurationError, InvalidInputError
 from focusfl.federation import (
     ClientState,
     aggregate,
@@ -275,7 +276,8 @@ def test_forward_equals_the_max_shift_reference_bit_for_bit(data, dtype, classes
 @given(_models(), st.data())
 def test_scoring_returns_floats_and_leaves_the_model_alone(m, data):
     """``predict_proba`` stays float64; the float32 scoring passes return
-    Python floats and write nothing into the model they cast."""
+    Python floats, or raise for a model beyond float32's range, and write
+    nothing into the model they cast."""
     rows = data.draw(st.integers(1, 6))
     x = np.array(data.draw(st.lists(finite, min_size=rows * m.arch.input_dim, max_size=rows * m.arch.input_dim)))
     y = data.draw(st.lists(st.integers(0, m.arch.num_classes - 1), min_size=rows, max_size=rows))
@@ -283,7 +285,12 @@ def test_scoring_returns_floats_and_leaves_the_model_alone(m, data):
     before = m.values.tobytes()
     with np.errstate(all="ignore"):  # the model's values may overflow float32
         probs = predict_proba(m, d.features)
-        scores = [model_test(m, d, "mean"), model_test(m, d, "sum"), accuracy(m, d)]
+        if np.isfinite(m.values.astype(np.float32)).all():
+            scores = [model_test(m, d, "mean"), model_test(m, d, "sum"), accuracy(m, d)]
+            assert [type(v) for v in scores] == [float, float, float]
+        else:
+            for score in (model_test, accuracy):
+                with pytest.raises(InvalidInputError, match="float32"):
+                    score(m, d)
     assert probs.dtype == np.float64
-    assert [type(v) for v in scores] == [float, float, float]
     assert m.values.dtype == np.float64 and m.values.tobytes() == before

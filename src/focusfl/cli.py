@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union, get_args, get_origin
+from typing import Dict, List, Optional, Tuple
 
 from . import harness
 from .data import NoiseSpec, write_csv
@@ -26,15 +26,6 @@ _SCENARIOS = ("usc-noisy", "usc-normal", "multi-tier")
 
 # --- config file parsing ----------------------------------------------------
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_flip_map(raw: str) -> Dict[int, int]:
     mapping: Dict[int, int] = {}
     for pair in raw.split(","):
@@ -45,38 +36,21 @@ def _parse_flip_map(raw: str) -> Dict[int, int]:
     return mapping
 
 
-def _parser_for(tp) -> Callable[[str], object]:
-    """Value parser for a config value of type ``tp``.
-
-    An empty value means ``None`` for an Optional type and ``()`` for a
-    tuple type; tuple items are comma-separated.
-    """
-    args = get_args(tp)
-    if get_origin(tp) is Union and type(None) in args:
-        (inner,) = [a for a in args if a is not type(None)]
-        parse = _parser_for(inner)
-        return lambda raw: parse(raw) if raw else None
-    if get_origin(tp) is Union:  # batch_size: an integer or "full"
-        return lambda raw: raw if raw == "full" else int(raw)
-    if get_origin(tp) is tuple:
-        return lambda raw: tuple(args[0](cell.strip()) for cell in raw.split(",")) if raw else ()
-    if tp is bool:
-        return _parse_bool
-    return tp
-
+# Config text parser for each field type.
+_PARSE = {tp: parse for tp, (_, parse) in harness._FIELD_RULES.items()}
 
 # The noise_* keys together build one NoiseSpec; every other key is an
-# ExperimentConfig field, parsed according to its declared type.
+# ExperimentConfig field, parsed by the rule for its declared type.
 _NOISE_PARSERS = {
-    "noise_kind": str,
-    "noise_fraction": float,
-    "noise_clients": _parser_for(Tuple[int, ...]),
-    "noise_seed": int,
+    "noise_kind": _PARSE[str],
+    "noise_fraction": _PARSE[float],
+    "noise_clients": _PARSE[Tuple[int, ...]],
+    "noise_seed": _PARSE[int],
     "noise_flip_map": _parse_flip_map,
 }
 
 _CONFIG_PARSERS = {
-    **{f.name: _parser_for(harness._FIELD_TYPES[f.name]) for f in fields(ExperimentConfig) if f.name != "noise"},
+    **{name: _PARSE[tp] for name, tp in harness._FIELD_TYPES.items() if name != "noise"},
     **_NOISE_PARSERS,
 }
 

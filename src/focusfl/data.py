@@ -304,19 +304,19 @@ def write_csv(path, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path, header: Optional[str] = None) -> Tuple[str, List[tuple]]:
-    """The header and the typed rows of a file written by :func:`write_csv`.
+def read_csv(path, header: str) -> List[tuple]:
+    """The typed rows of a file written by :func:`write_csv` with ``header``.
 
     Blank lines and whitespace around a line are ignored, so CRLF line ends
-    read too.  When ``header`` is given, the file's header must equal it.
+    read too.  The file's header must equal ``header``.
     """
     lines = _read_csv_lines(path, header)
-    first = next(lines)
-    return first, list(lines)
+    next(lines)
+    return list(lines)
 
 
 def _read_csv_lines(path, header: Optional[str]) -> Iterator:
-    """Yield :func:`read_csv`'s header, then its rows one at a time."""
+    """Yield the header line, then the typed rows one at a time."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip())
         _, first = next(lines, (0, ""))

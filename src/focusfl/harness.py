@@ -98,7 +98,7 @@ class ExperimentConfig:
         # values now, as configuration errors, rather than midway through a run.
         try:
             for name, tp in _FIELD_TYPES.items():
-                object.__setattr__(self, name, _FIELD_RULES[tp](name, getattr(self, name)))
+                object.__setattr__(self, name, _FIELD_RULES[tp][0](name, getattr(self, name)))
             self.partition_plan(seed=0)
             self.sgd_config(seed=0)
             as_positive("alpha", self.alpha)
@@ -158,21 +158,44 @@ def _as_str(name: str, value) -> str:
     raise InvalidInputError(f"{name} must be a string, got {value!r}")
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_items(kind, empty=()):
+    """Parser for comma-separated ``kind`` items; an empty text gives ``empty``."""
+    return lambda raw: tuple(kind(cell.strip()) for cell in raw.split(",")) if raw else empty
+
+
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
-# How ExperimentConfig stores a field of each annotated type, so that equal
-# values share one config hash.  Ranges are left to the nested probes and
-# the checks after them; only the hidden widths have no probe of their own.
+# For each annotated field type, a ``(store, parse)`` pair.  ``store`` is how
+# ExperimentConfig stores a value, so that equal values share one config hash;
+# ranges are left to the nested probes and the checks after them, and only
+# the hidden widths have no probe of their own.  ``parse`` reads the value
+# from config text, raising ValueError; an empty text is None for an
+# Optional type.  Noise is read from several keys at once, so it has none.
 _FIELD_RULES = {
-    int: lambda name, value: as_int(name, value, 0),
-    Union[int, str]: lambda name, value: value if isinstance(value, str) else as_int(name, value, 0),
-    float: as_real,
-    bool: _as_bool,
-    str: _as_str,
-    Optional[str]: lambda name, value: None if value is None else _as_str(name, value),
-    Tuple[int, ...]: lambda name, value: tuple(as_int(name, h, 1) for h in value),
-    Optional[Tuple[float, ...]]: lambda name, value: None if value is None else tuple(as_real(name, p) for p in value),
-    Tuple[NoiseSpec, ...]: lambda name, value: tuple(value),  # each checked below
+    int: (lambda name, value: as_int(name, value, 0), int),
+    Union[int, str]: (
+        lambda name, value: value if isinstance(value, str) else as_int(name, value, 0),
+        lambda raw: raw if raw == "full" else int(raw),
+    ),
+    float: (as_real, float),
+    bool: (_as_bool, _parse_bool),
+    str: (_as_str, str),
+    Optional[str]: (lambda name, value: None if value is None else _as_str(name, value), lambda raw: raw or None),
+    Tuple[int, ...]: (lambda name, value: tuple(as_int(name, h, 1) for h in value), _parse_items(int)),
+    Optional[Tuple[float, ...]]: (
+        lambda name, value: None if value is None else tuple(as_real(name, p) for p in value),
+        _parse_items(float, None),
+    ),
+    Tuple[NoiseSpec, ...]: (lambda name, value: tuple(value), None),  # each checked below
 }
 
 
@@ -233,11 +256,12 @@ def derive_seeds(master_seed: int) -> Dict[str, int]:
 
 
 def _load_dataset_file(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        head = fh.read(len(DATASET_MAGIC))
-    if head == DATASET_MAGIC:
-        return load_binary(path)
-    return load_csv(path)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(DATASET_MAGIC))
+        return load_binary(path) if head == DATASET_MAGIC else load_csv(path)
+    except (OSError, ValueError, InvalidInputError) as exc:  # a bad text encoding is a ValueError
+        raise ConfigurationError(f"cannot read dataset_file {path}: {exc}") from exc
 
 
 def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientState, ...], Dataset]:
@@ -305,16 +329,18 @@ def fl_training_loss(
 
 
 def _local_baseline_round(
-    clients: Tuple[ClientState, ...], sgd: SgdConfig, t: int
-) -> Tuple[ClientState, ...]:
-    """No-communication baseline: every client keeps training its own model."""
-    updated = []
+    server: ServerState, clients: Tuple[ClientState, ...], sgd: SgdConfig, participants: Tuple[int, ...]
+) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
+    """No-communication baseline: each participant keeps training its own model."""
+    t = server.round + 1
+    updated = list(clients)
     try:
-        for c in clients:
-            updated.append(replace(c, local_model=learner.client_update(c.local_model, c.data, sgd)))
+        for k in participants:
+            c = clients[k]
+            updated[k] = replace(c, local_model=learner.client_update(c.local_model, c.data, sgd))
     except TrainingDivergenceError as exc:
         raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
-    return tuple(updated)
+    return replace(server, round=t), tuple(updated), None
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
@@ -326,8 +352,11 @@ def run(cfg: ExperimentConfig) -> RunResult:
     seeds = derive_seeds(cfg.master_seed)
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
-    federated_round = {"focus": focus_round, "fedavg": fedavg_round}.get(cfg.aggregator)
+    # Looked up per run, so that a wrapped focus_round or fedavg_round is the one called.
+    round_fn = {"focus": focus_round, "fedavg": fedavg_round, "local_baseline": _local_baseline_round}[cfg.aggregator]
+    federated = cfg.aggregator != "local_baseline"  # else no global model or weights
     k = len(clients)
+    size = max(1, int(round(cfg.participation_fraction * k))) if federated else k
     prng = np.random.default_rng(seeds["participation"])
     metrics: List[RoundMetrics] = []
     # Clients that sat a round out keep their model, so their loss is reused.
@@ -335,23 +364,15 @@ def run(cfg: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
     try:
         for t in range(1, cfg.rounds + 1):
-            participants = tuple(range(k))
-            if cfg.participation_fraction < 1.0 and federated_round is not None:
-                size = max(1, int(round(cfg.participation_fraction * k)))
-                participants = tuple(np.sort(prng.choice(k, size=size, replace=False)).tolist())
-            cred: Optional[CredReport] = None
-            if federated_round is None:
-                clients = _local_baseline_round(clients, sgd, t)
-                acc = float(np.mean([learner.accuracy(c.local_model, test) for c in clients]))
-            else:
-                server, clients, cred = federated_round(server, clients, sgd, participants)
-                acc = learner.accuracy(server.global_model, test)
+            participants = tuple(np.sort(prng.choice(k, size=size, replace=False)).tolist())
+            server, clients, cred = round_fn(server, clients, sgd, participants)
+            models = [server.global_model] if federated else [c.local_model for c in clients]
+            acc = float(np.mean([learner.accuracy(m, test) for m in models]))
             metrics.append(RoundMetrics(t, acc, fl_training_loss(clients, scored), cred, participants))
     except RoundError as exc:
         exc.partial_metrics = tuple(metrics)
         raise
     duration = time.perf_counter() - start
-    federated = federated_round is not None  # local_baseline has no global model or weights
     return RunResult(
         config=cfg,
         metrics=tuple(metrics),
@@ -500,7 +521,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
     """
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     if cfg.dataset_file is not None:
-        canonical += hashlib.sha256(Path(cfg.dataset_file).read_bytes()).hexdigest()
+        try:
+            canonical += hashlib.sha256(Path(cfg.dataset_file).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read dataset_file {cfg.dataset_file}: {exc}") from exc
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -563,9 +587,9 @@ def _write_run_files(result: RunResult, run_dir: Path) -> None:
 
 def load_metrics_csv(path) -> List[Tuple[int, float, float]]:
     """Read a metrics.csv back into (round, accuracy, fl_loss) tuples."""
-    return read_csv(path, METRICS_CSV_HEADER)[1]
+    return read_csv(path, METRICS_CSV_HEADER)
 
 
 def load_credibility_csv(path) -> List[Tuple[int, int, float, float, float, float, float]]:
     """Read a credibility.csv back into (round, client, ls, ll, e, c, w) tuples."""
-    return read_csv(path, CRED_CSV_HEADER)[1]
+    return read_csv(path, CRED_CSV_HEADER)

@@ -76,9 +76,15 @@ def multi_tier_config(seed):
 
 
 def paired_runs(make_config, seeds):
-    """``{seed: {"focus": result, "fedavg": result}}``, run through ``run_many``."""
-    results = iter(run_many([make_config(s, agg) for s in seeds for agg in ("focus", "fedavg")]))
-    return {s: {agg: next(results) for agg in ("focus", "fedavg")} for s in seeds}
+    """``{seed: {"focus": result, "fedavg": result}}``, run through ``run_many``.
+
+    The pair order alternates from seed to seed, so that when ``run_many``
+    deals every other config to a worker, each process gets half of the
+    slower ``focus`` runs.
+    """
+    order = [(s, agg) for i, s in enumerate(seeds) for agg in ("focus", "fedavg")[:: 1 - 2 * (i % 2)]]
+    results = dict(zip(order, run_many([make_config(s, agg) for s, agg in order])))
+    return {s: {agg: results[s, agg] for agg in ("focus", "fedavg")} for s in seeds}
 
 
 def run_battery(seeds):

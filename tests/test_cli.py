@@ -152,6 +152,14 @@ class TestCmdRun:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_missing_dataset_file_exits_two_and_leaves_no_run_dir(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        config = write_config(tmp_path, text=FAST_CONFIG + f"dataset_file = {missing}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert f"cannot read dataset_file {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, text="rounds = 0\n")
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2

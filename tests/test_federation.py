@@ -408,6 +408,14 @@ class TestFocusRound:
                 focus_round(server, clients, SgdConfig(0.5, 3, seed=0))
         assert excinfo.value.round_index == 1
 
+    def test_participants_without_stored_weight_are_degenerate(self):
+        server, clients = tiny_federation(seed=12, k=3)
+        server = replace(server, weights=[1.0, 0.0, 0.0])
+        with pytest.raises(RoundError, match="round 1 failed") as excinfo:
+            focus_round(server, clients, SgdConfig(0.2, 2, seed=0), participants=[1, 2])
+        assert excinfo.value.round_index == 1
+        assert isinstance(excinfo.value.__cause__, DegenerateCredibilityError)
+
     def test_rejects_mismatched_client_count_and_bad_participants(self):
         server, clients = tiny_federation(seed=11, k=3)
         sgd = SgdConfig(0.2, 2, seed=0)

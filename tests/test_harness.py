@@ -11,7 +11,7 @@ import pytest
 from focusfl import federation, harness
 from focusfl.cli import main
 from focusfl.data import NoiseSpec
-from focusfl.errors import ConfigurationError, InvalidInputError, RoundError
+from focusfl.errors import ConfigurationError, InvalidInputError, RoundError, TrainingDivergenceError
 from focusfl.federation import CredReport, load_model, model_test
 from focusfl.harness import (
     CRED_CSV_HEADER,
@@ -227,6 +227,22 @@ class TestBuildScenario:
             assert server.global_model.arch.num_classes == 3
 
 
+    def test_missing_dataset_file_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        cfg = fast_config(dataset_file=str(path))
+        for call in (build_scenario, config_hash):
+            with pytest.raises(ConfigurationError, match=f"cannot read dataset_file {path}") as excinfo:
+                call(cfg)
+            assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+
+    def test_malformed_dataset_file_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n0.5,x\n")
+        with pytest.raises(ConfigurationError, match=f"cannot read dataset_file {path}") as excinfo:
+            build_scenario(fast_config(dataset_file=str(path)))
+        assert isinstance(excinfo.value.__cause__, InvalidInputError)
+
+
 class TestRun:
     def test_metrics_cover_every_round_in_order(self):
         result = run(fast_config())
@@ -353,6 +369,24 @@ class TestRun:
         assert excinfo.value.round_index >= 1
         assert isinstance(excinfo.value.partial_metrics, tuple)
         assert len(excinfo.value.partial_metrics) == excinfo.value.round_index - 1
+
+
+    def test_local_baseline_failure_carries_round_and_partial_metrics(self, monkeypatch):
+        """Four clients train per round, so the sixth update falls in round 2."""
+        real_update, calls = harness.learner.client_update, []
+
+        def diverge_on_sixth(m, d, sgd):
+            calls.append(m)
+            if len(calls) == 6:
+                raise TrainingDivergenceError("non-finite loss", step=1)
+            return real_update(m, d, sgd)
+
+        monkeypatch.setattr(harness.learner, "client_update", diverge_on_sixth)
+        with pytest.raises(RoundError, match="round 2 failed") as excinfo:
+            run(fast_config(aggregator="local_baseline"))
+        assert excinfo.value.round_index == 2
+        assert [m.round for m in excinfo.value.partial_metrics] == [1]
+        assert isinstance(excinfo.value.__cause__, TrainingDivergenceError)
 
 
 class TestCompare:

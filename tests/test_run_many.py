@@ -14,7 +14,7 @@ import pytest
 
 from focusfl import harness
 from focusfl.data import Dataset, NoiseSpec
-from focusfl.errors import RoundError, TrainingDivergenceError
+from focusfl.errors import ConfigurationError, RoundError, TrainingDivergenceError
 from focusfl.federation import CredReport
 from focusfl.harness import ExperimentConfig, RoundMetrics, run, run_many, seed_sweep
 from focusfl.learner import ArchSpec, init_params
@@ -183,8 +183,9 @@ class TestRunMany:
 
     def test_a_local_failure_before_a_pool_one_wins(self, two_workers, tmp_path):
         missing = ExperimentConfig(**FAST, dataset_file=str(tmp_path / "missing.csv"))
-        with np.errstate(all="ignore"), pytest.raises(FileNotFoundError):
+        with np.errstate(all="ignore"), pytest.raises(ConfigurationError) as excinfo:
             run_many([missing, DIVERGING])
+        assert isinstance(excinfo.value.__cause__, FileNotFoundError)
 
     def test_blas_threads_pinned_to_one_and_restored_after_return(self, two_workers, monkeypatch):
         blas = FakeBlas(threads=7)

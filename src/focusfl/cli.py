@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 from . import harness
 from .data import NoiseSpec, write_csv
@@ -26,32 +26,18 @@ _SCENARIOS = ("usc-noisy", "usc-normal", "multi-tier")
 
 # --- config file parsing ----------------------------------------------------
 
-def _parse_flip_map(raw: str) -> Dict[int, int]:
-    mapping: Dict[int, int] = {}
-    for pair in raw.split(","):
-        src, sep, dst = pair.partition(":")
-        if not sep:
-            raise ValueError(f"expected 'src:dst' pairs, got {pair!r}")
-        mapping[int(src.strip())] = int(dst.strip())
-    return mapping
-
-
 # Config text parser for each field type.
 _PARSE = {tp: parse for tp, (_, parse) in harness._FIELD_RULES.items()}
 
-# The noise_* keys together build one NoiseSpec; every other key is an
-# ExperimentConfig field, parsed by the rule for its declared type.
-_NOISE_PARSERS = {
-    "noise_kind": _PARSE[str],
-    "noise_fraction": _PARSE[float],
-    "noise_clients": _PARSE[Tuple[int, ...]],
-    "noise_seed": _PARSE[int],
-    "noise_flip_map": _parse_flip_map,
-}
+# The noise_* keys together build one NoiseSpec: ``noise_<field>`` for each
+# of its fields, with ``noise_clients`` for ``target_clients``.  Every other
+# key is an ExperimentConfig field.  Each is parsed by the rule for its type.
+_NOISE_TYPES = get_type_hints(NoiseSpec)
+_NOISE_KEYS = {f: "noise_clients" if f == "target_clients" else f"noise_{f}" for f in _NOISE_TYPES}
 
 _CONFIG_PARSERS = {
     **{name: _PARSE[tp] for name, tp in harness._FIELD_TYPES.items() if name != "noise"},
-    **_NOISE_PARSERS,
+    **{key: _PARSE[_NOISE_TYPES[f]] for f, key in _NOISE_KEYS.items()},
 }
 
 
@@ -80,20 +66,14 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigurationError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
 
-    noise_values = {key: values.pop(key) for key in _NOISE_PARSERS if key in values}
+    noise_values = {f: values.pop(key) for f, key in _NOISE_KEYS.items() if key in values}
     kwargs = dict(values)
     if noise_values:
-        for required in ("noise_kind", "noise_fraction", "noise_clients"):
-            if required not in noise_values:
-                raise ConfigurationError(f"{source}: noise settings require {required!r}")
+        for f in fields(NoiseSpec):
+            if f.default is MISSING and f.name not in noise_values:
+                raise ConfigurationError(f"{source}: noise settings require {_NOISE_KEYS[f.name]!r}")
         try:
-            spec = NoiseSpec(
-                kind=noise_values["noise_kind"],
-                fraction=noise_values["noise_fraction"],
-                target_clients=noise_values["noise_clients"],
-                seed=noise_values.get("noise_seed", 0),
-                flip_map=noise_values.get("noise_flip_map"),
-            )
+            spec = NoiseSpec(**noise_values)
         except FocusFlError as exc:
             raise ConfigurationError(f"{source}: bad noise settings: {exc}") from exc
         kwargs["noise"] = (spec,)

@@ -15,7 +15,7 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, as_int, as_positive, as_real, frozen_f64
+from .errors import ConfigurationError, InvalidInputError, as_int, as_items, as_positive, as_real, frozen_f64
 
 # Magic prefix of the binary dataset container (version 1).
 DATASET_MAGIC = b"FOCUSDS1"
@@ -39,7 +39,7 @@ class Dataset:
                 f"labels must be 1-D with one entry per row, got {labels.shape} for {features.shape[0]} rows"
             )
         if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == labels.astype(np.int64)):
+            if labels.dtype.kind not in "bf" or not np.all(labels == labels.astype(np.int64)):
                 raise InvalidInputError("labels must be integers")
         labels = labels.astype(np.int64)
         num_classes = as_int("num_classes", self.num_classes, 2)
@@ -156,7 +156,7 @@ class PartitionPlan:
         if not (0.0 < self.test_fraction < 1.0):
             raise InvalidInputError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
         if self.client_proportions is not None:
-            props = tuple(as_real("client_proportions", p) for p in self.client_proportions)
+            props = as_items("client_proportions", self.client_proportions, as_real)
             if len(props) != self.num_clients:
                 raise InvalidInputError(
                     f"client_proportions has {len(props)} entries for {self.num_clients} clients"
@@ -235,7 +235,7 @@ class NoiseSpec:
         object.__setattr__(self, "fraction", as_real("noise fraction", self.fraction))
         if not (0.0 <= self.fraction <= 1.0):
             raise InvalidInputError(f"noise fraction must lie in [0, 1], got {self.fraction}")
-        targets = tuple(as_int("target_clients", c, 0) for c in self.target_clients)
+        targets = as_items("target_clients", self.target_clients, as_int)
         if len(set(targets)) != len(targets):
             raise InvalidInputError(f"target_clients contains duplicates: {targets}")
         object.__setattr__(self, "target_clients", targets)
@@ -243,7 +243,7 @@ class NoiseSpec:
         if self.kind == "pairwise_flip":
             if not self.flip_map:
                 raise InvalidInputError("pairwise_flip requires a flip_map")
-            fmap = {as_int("flip_map", k, 0): as_int("flip_map", v, 0) for k, v in self.flip_map.items()}
+            fmap = as_items("flip_map", self.flip_map, as_int, mapping=True)
             if set(fmap.values()) != set(fmap.keys()):
                 raise InvalidInputError(
                     f"flip_map must permute the mapped classes, got {fmap}"

@@ -8,6 +8,7 @@ naming the field.
 
 import math
 import numbers
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class RoundError(FocusFlError):
         return (type(self), (str(self), self.round_index, self.partial_metrics))
 
 
-def as_int(name: str, value, minimum: int) -> int:
+def as_int(name: str, value, minimum: int = 0) -> int:
     """``value`` as an ``int`` of at least ``minimum``; integral floats are accepted."""
     try:
         if isinstance(value, numbers.Real) and int(value) == value >= minimum:
@@ -90,6 +91,41 @@ def as_positive(name: str, value) -> float:
     if real <= 0:
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     return real
+
+
+def as_bool(name: str, value) -> bool:
+    """``value`` as a ``bool``; ``True``, ``False``, ``0`` and ``1`` are accepted."""
+    if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
+        return bool(value)
+    raise InvalidInputError(f"{name} must be a boolean, got {value!r}")
+
+
+def as_str(name: str, value) -> str:
+    """``value``, which must be a ``str``."""
+    if isinstance(value, str):
+        return value
+    raise InvalidInputError(f"{name} must be a string, got {value!r}")
+
+
+def as_items(name: str, value, item, mapping: bool = False):
+    """``value``'s entries, each stored as ``item(name, entry)``.
+
+    A sequence field takes any iterable but a string, bytes or a mapping,
+    whose iteration would give characters or keys, and stores a tuple.  A
+    ``mapping`` field takes only a mapping, and stores a dict with ``item``
+    applied to each key and each value.  Anything else, such as a bare
+    number, is rejected naming the field.
+    """
+    if mapping and isinstance(value, Mapping):
+        return {item(name, k): item(name, v) for k, v in value.items()}
+    if not mapping and not isinstance(value, (str, bytes, Mapping)):
+        try:
+            entries = iter(value)
+        except TypeError:  # a bare number, or a 0-d array
+            pass
+        else:
+            return tuple([item(name, entry) for entry in entries])
+    raise InvalidInputError(f"{name} must be a {'mapping' if mapping else 'sequence'}, got {value!r}")
 
 
 def frozen_f64(values, name: str, ndim: int) -> np.ndarray:

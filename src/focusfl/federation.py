@@ -31,7 +31,7 @@ import numpy as np
 from . import learner
 from .data import Dataset
 from .errors import DegenerateCredibilityError, InvalidInputError, RoundError, TrainingDivergenceError
-from .errors import as_int, as_positive, frozen_f64
+from .errors import as_bool, as_int, as_items, as_positive, frozen_f64
 from .learner import ArchSpec, ModelParams, SgdConfig
 
 # Magic prefix of the binary model checkpoint container (version 1).
@@ -85,6 +85,7 @@ class ServerState:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "alpha", as_positive("alpha", self.alpha))
         learner.check_reduction(self.reduction)
+        object.__setattr__(self, "standardize_e", as_bool("standardize_e", self.standardize_e))
         object.__setattr__(self, "round", as_int("round", self.round, 0))
         learner.check_fits(self.global_model.arch, self.benchmark, "benchmark set")
 
@@ -110,7 +111,7 @@ class CredReport:
     w: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(as_int("client_ids", i, 0) for i in self.client_ids)
+        ids = as_items("client_ids", self.client_ids, as_int)
         if len(set(ids)) != len(ids) or not ids:
             raise InvalidInputError(f"client_ids must be non-empty and unique, got {ids}")
         object.__setattr__(self, "client_ids", ids)
@@ -284,7 +285,7 @@ def _check_round_args(
             raise InvalidInputError(f"client {c.id} model architecture differs from the global model")
     if participants is None:
         return tuple(range(len(clients)))
-    part = tuple(sorted(as_int("participants", p, 0) for p in participants))
+    part = tuple(sorted(as_items("participants", participants, as_int)))
     if not part or len(set(part)) != len(part):
         raise InvalidInputError(f"participants must be non-empty and unique, got {participants}")
     if part[-1] >= len(clients):

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigurationError, InvalidInputError, RoundError, TrainingDivergenceError
-from .errors import as_int, as_positive, as_real
+from .errors import as_bool, as_int, as_items, as_positive, as_real, as_str
 from .federation import (
     ClientState,
     CredReport,
@@ -118,8 +118,6 @@ class ExperimentConfig:
                 f"participation_fraction must lie in (0, 1], got {self.participation_fraction}"
             )
         for ns in self.noise:
-            if not isinstance(ns, NoiseSpec):
-                raise ConfigurationError("noise must be a sequence of NoiseSpec values")
             if not ns.target_clients:
                 raise ConfigurationError("a noise spec must name at least one target client")
             for k in ns.target_clients:
@@ -146,16 +144,10 @@ class ExperimentConfig:
         )
 
 
-def _as_bool(name: str, value) -> bool:
-    if isinstance(value, (int, np.integer, np.bool_)) and value in (0, 1):
-        return bool(value)
-    raise InvalidInputError(f"{name} must be a boolean, got {value!r}")
-
-
-def _as_str(name: str, value) -> str:
-    if isinstance(value, str):
+def _as_noise_spec(name: str, value) -> NoiseSpec:
+    if isinstance(value, NoiseSpec):
         return value
-    raise InvalidInputError(f"{name} must be a string, got {value!r}")
+    raise InvalidInputError(f"{name} must hold NoiseSpec values, got {value!r}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -172,6 +164,16 @@ def _parse_items(kind, empty=()):
     return lambda raw: tuple(kind(cell.strip()) for cell in raw.split(",")) if raw else empty
 
 
+def _parse_flip_map(raw: str) -> Dict[int, int]:
+    mapping: Dict[int, int] = {}
+    for pair in raw.split(","):
+        src, sep, dst = pair.partition(":")
+        if not sep:
+            raise ValueError(f"expected 'src:dst' pairs, got {pair!r}")
+        mapping[int(src.strip())] = int(dst.strip())
+    return mapping
+
+
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 # For each annotated field type, a ``(store, parse)`` pair.  ``store`` is how
@@ -179,23 +181,25 @@ _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # ranges are left to the nested probes and the checks after them, and only
 # the hidden widths have no probe of their own.  ``parse`` reads the value
 # from config text, raising ValueError; an empty text is None for an
-# Optional type.  Noise is read from several keys at once, so it has none.
+# Optional type.  Noise is read from several keys at once, so it has none,
+# and a flip map is only ever stored by NoiseSpec, so it has no ``store``.
 _FIELD_RULES = {
-    int: (lambda name, value: as_int(name, value, 0), int),
+    int: (as_int, int),
     Union[int, str]: (
         lambda name, value: value if isinstance(value, str) else as_int(name, value, 0),
         lambda raw: raw if raw == "full" else int(raw),
     ),
     float: (as_real, float),
-    bool: (_as_bool, _parse_bool),
-    str: (_as_str, str),
-    Optional[str]: (lambda name, value: None if value is None else _as_str(name, value), lambda raw: raw or None),
-    Tuple[int, ...]: (lambda name, value: tuple(as_int(name, h, 1) for h in value), _parse_items(int)),
+    bool: (as_bool, _parse_bool),
+    str: (as_str, str),
+    Optional[str]: (lambda name, value: None if value is None else as_str(name, value), lambda raw: raw or None),
+    Tuple[int, ...]: (lambda name, value: as_items(name, value, learner._as_width), _parse_items(int)),
     Optional[Tuple[float, ...]]: (
-        lambda name, value: None if value is None else tuple(as_real(name, p) for p in value),
+        lambda name, value: None if value is None else as_items(name, value, as_real),
         _parse_items(float, None),
     ),
-    Tuple[NoiseSpec, ...]: (lambda name, value: tuple(value), None),  # each checked below
+    Tuple[NoiseSpec, ...]: (lambda name, value: as_items(name, value, _as_noise_spec), None),
+    Optional[Mapping[int, int]]: (None, _parse_flip_map),
 }
 
 

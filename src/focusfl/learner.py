@@ -28,13 +28,17 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidInputError, TrainingDivergenceError, as_int, as_positive, frozen_f64
+from .errors import InvalidInputError, TrainingDivergenceError, as_int, as_items, as_positive, frozen_f64
 
 # Probabilities are clamped here before any log so a confidently wrong
 # prediction yields a large finite loss instead of an infinite one.
 PROB_FLOOR = 1e-12
 
 _REDUCTIONS = ("mean", "sum")
+
+
+def _as_width(name: str, value) -> int:
+    return as_int(name, value, 1)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class ArchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "input_dim", as_int("input_dim", self.input_dim, 1))
-        object.__setattr__(self, "hidden_dims", tuple(as_int("hidden_dims", h, 1) for h in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", as_items("hidden_dims", self.hidden_dims, _as_width))
         object.__setattr__(self, "num_classes", as_int("num_classes", self.num_classes, 2))
 
     @property

@@ -271,8 +271,14 @@ class TestValueRules:
             ("seed", lambda: NoiseSpec(kind="randomize", fraction=0.5, seed=None)),
             ("target_clients", lambda: NoiseSpec(kind="randomize", fraction=0.5, target_clients=(0.5,))),
             ("flip_map", lambda: NoiseSpec(kind="pairwise_flip", fraction=0.5, flip_map={0.5: 1, 1.7: 0})),
+            ("target_clients", lambda: NoiseSpec(kind="randomize", fraction=0.5, target_clients=0)),
+            ("flip_map", lambda: NoiseSpec(kind="pairwise_flip", fraction=0.5, flip_map=[1, 0])),
+            ("labels", lambda: Dataset(np.zeros((2, 2)), ["a", "b"], 2)),
         ],
-        ids=["num_clients-nan", "noise-seed-None", "target_clients-0.5", "flip_map-fractional"],
+        ids=[
+            "num_clients-nan", "noise-seed-None", "target_clients-0.5", "flip_map-fractional",
+            "target_clients-int", "flip_map-list", "labels-str",
+        ],
     )
     def test_non_integers_are_rejected_by_name(self, name, make):
         with pytest.raises(InvalidInputError, match=f"{name} must be"):
@@ -285,8 +291,12 @@ class TestValueRules:
             ("test_fraction", lambda: PartitionPlan(2, 0.2, None)),
             ("noise fraction", lambda: NoiseSpec(kind="randomize", fraction=None)),
             ("noise fraction", lambda: NoiseSpec(kind="randomize", fraction="x")),
+            ("client_proportions", lambda: PartitionPlan(2, 0.2, 0.2, client_proportions=5)),
         ],
-        ids=["benchmark_fraction-str", "test_fraction-None", "noise-fraction-None", "noise-fraction-str"],
+        ids=[
+            "benchmark_fraction-str", "test_fraction-None", "noise-fraction-None", "noise-fraction-str",
+            "client_proportions-int",
+        ],
     )
     def test_non_reals_are_rejected_by_name(self, name, make):
         with pytest.raises(InvalidInputError, match=f"{name} must be"):

@@ -345,8 +345,9 @@ class TestValueRules:
             ("seed", lambda: init_params(ArchSpec(4, (), 3), float("nan"))),
             ("input_dim", lambda: ArchSpec(None, (), 3)),
             ("hidden_dims", lambda: ArchSpec(4, (2.5,), 3)),
+            ("hidden_dims", lambda: ArchSpec(4, 5, 3)),
         ],
-        ids=["local_steps-nan", "init-seed-nan", "input_dim-None", "hidden_dims-2.5"],
+        ids=["local_steps-nan", "init-seed-nan", "input_dim-None", "hidden_dims-2.5", "hidden_dims-int"],
     )
     def test_non_integers_are_rejected_by_name(self, name, make):
         with pytest.raises(InvalidInputError, match=f"{name} must be"):

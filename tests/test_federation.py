@@ -16,6 +16,7 @@ from focusfl.federation import (
     aggregate,
     aggregation_weights,
     credibilities,
+    fedavg_round,
     focus_round,
     init_server,
     load_model,
@@ -27,6 +28,7 @@ from focusfl.learner import (
     ModelParams,
     SgdConfig,
     accuracy,
+    client_update,
     init_params,
     loss_and_grad,
 )
@@ -312,6 +314,44 @@ class TestStateValidation:
 
 
 class TestFocusRound:
+    def test_aggregation_uses_previous_round_weights(self):
+        """The model published at round t must be the w_{t-1}-weighted average
+        of the round-t local models, not the freshly computed weights."""
+        server, clients = tiny_federation(seed=1, k=3)
+        stale = np.array([0.6, 0.3, 0.1])
+        server = replace(server, weights=stale)
+        sgd = SgdConfig(learning_rate=0.2, local_steps=5, seed=4)
+        new_server, new_clients, report = focus_round(server, clients, sgd)
+        manual = aggregate([c.local_model for c in new_clients], stale)
+        assert np.array_equal(new_server.global_model.values, manual.values)
+        # and the stored weights moved on to the freshly computed ones
+        assert not np.array_equal(new_server.weights, stale)
+        np.testing.assert_array_equal(new_server.weights, report.w)
+
+    def test_report_is_internally_consistent(self):
+        server, clients = tiny_federation(seed=2, k=4)
+        sgd = SgdConfig(learning_rate=0.3, local_steps=4, seed=0)
+        new_server, new_clients, report = focus_round(server, clients, sgd)
+        assert report.client_ids == (0, 1, 2, 3)
+        np.testing.assert_array_equal(report.e, report.ls + report.ll)
+        e_scaled = report.e / report.e.mean()
+        np.testing.assert_allclose(report.c, credibilities(e_scaled, server.alpha), atol=1e-15)
+        n = np.array([c.n_k for c in clients], dtype=float)
+        np.testing.assert_allclose(report.w, aggregation_weights(n, report.c), atol=1e-15)
+        np.testing.assert_allclose(report.w.sum(), 1.0, atol=1e-12)
+        # ls/ll recompute exactly from the published states
+        for j, c in enumerate(new_clients):
+            assert report.ls[j] == model_test(c.local_model, server.benchmark, server.reduction)
+            assert report.ll[j] == model_test(new_server.global_model, c.data, server.reduction)
+
+    def test_local_models_come_from_the_broadcast_global(self):
+        server, clients = tiny_federation(seed=3, k=2)
+        sgd = SgdConfig(learning_rate=0.1, local_steps=6, seed=8)
+        _, new_clients, _ = focus_round(server, clients, sgd)
+        for c, nc in zip(clients, new_clients):
+            expected = client_update(server.global_model, c.data, sgd)
+            assert np.array_equal(nc.local_model.values, expected.values)
+
     def test_inputs_are_not_mutated(self):
         server, clients = tiny_federation(seed=4)
         w_before = server.weights.copy()
@@ -344,6 +384,26 @@ class TestFocusRound:
         np.testing.assert_allclose(rep_b.c, rep_a.c[perm], atol=1e-12)
         np.testing.assert_allclose(rep_b.w, rep_a.w[perm], atol=1e-12)
         np.testing.assert_allclose(s_b.global_model.values, s_a.global_model.values, atol=1e-12)
+
+    def test_single_client_keeps_its_own_model(self):
+        server, clients = tiny_federation(seed=7, k=1)
+        sgd = SgdConfig(0.2, 5, seed=3)
+        new_server, new_clients, report = focus_round(server, clients, sgd)
+        assert np.array_equal(new_server.global_model.values, new_clients[0].local_model.values)
+        np.testing.assert_array_equal(report.c, [1.0])
+        np.testing.assert_array_equal(report.w, [1.0])
+
+    def test_partial_participation_redistributes_weight_mass(self):
+        server, clients = tiny_federation(seed=9, k=4)
+        sgd = SgdConfig(0.2, 3, seed=5)
+        new_server, new_clients, report = focus_round(server, clients, sgd, participants=[0, 2])
+        assert report.client_ids == (0, 2)
+        # absent clients keep their weight and local model
+        np.testing.assert_array_equal(new_server.weights[[1, 3]], server.weights[[1, 3]])
+        assert np.array_equal(new_clients[1].local_model.values, clients[1].local_model.values)
+        # total weight mass is conserved
+        np.testing.assert_allclose(new_server.weights.sum(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(report.w.sum(), server.weights[[0, 2]].sum(), atol=1e-12)
 
     def test_divergence_is_wrapped_with_round_index(self):
         server, clients = tiny_federation(seed=10, k=2)
@@ -384,6 +444,29 @@ class TestFocusRound:
         ones = np.ones(2)
         with pytest.raises(InvalidInputError, match="client_ids must be a non-negative integer, got 0.9"):
             CredReport((0.9, 1.2), ones, ones, ones + ones, ones / 2, ones / 2)
+
+
+class TestFedavgRound:
+    def test_weights_stay_sample_proportional(self):
+        server, clients = tiny_federation(seed=12, k=3)
+        sgd = SgdConfig(0.2, 3, seed=1)
+        s1, c1, rep = fedavg_round(server, clients, sgd)
+        assert rep is None
+        np.testing.assert_array_equal(s1.weights, server.weights)
+        s2, _, _ = fedavg_round(s1, c1, sgd)
+        np.testing.assert_array_equal(s2.weights, server.weights)
+
+    def test_first_round_matches_focus_from_a_fresh_start(self):
+        """From initialization both protocols aggregate with n_k/n, so their
+        round-1 global models coincide; they diverge afterwards."""
+        server_a, clients_a = tiny_federation(seed=13, k=3)
+        server_b, clients_b = tiny_federation(seed=13, k=3)
+        sgd = SgdConfig(0.3, 4, seed=6)
+        s_focus, _, _ = focus_round(server_a, clients_a, sgd)
+        s_fedavg, _, _ = fedavg_round(server_b, clients_b, sgd)
+        np.testing.assert_allclose(
+            s_focus.global_model.values, s_fedavg.global_model.values, atol=1e-12
+        )
 
 
 class TestModelCheckpoint:

@@ -250,6 +250,20 @@ class TestBuildScenario:
 
 
 class TestRun:
+    def test_metrics_cover_every_round_in_order(self):
+        result = run(fast_config())
+        assert [m.round for m in result.metrics] == [1, 2, 3, 4]
+        for m in result.metrics:
+            assert 0.0 <= m.test_accuracy <= 1.0
+            assert np.isfinite(m.fl_loss)
+            assert m.cred is not None
+        assert result.final_accuracy == result.metrics[-1].test_accuracy
+
+    def test_fedavg_rounds_produce_no_cred_reports(self):
+        result = run(fast_config(aggregator="fedavg"))
+        assert all(m.cred is None for m in result.metrics)
+        np.testing.assert_allclose(result.final_weights, [0.25] * 4, atol=1e-12)
+
     def test_rerun_is_bitwise_identical(self):
         a = run(fast_config())
         b = run(fast_config())
@@ -263,6 +277,48 @@ class TestRun:
         a = run(fast_config())
         b = run(fast_config(master_seed=1))
         assert a.final_model.values.tolist() != b.final_model.values.tolist()
+
+    def test_message_accounting_focus(self):
+        result = run(fast_config())
+        assert all(m.participants == (0, 1, 2, 3) for m in result.metrics)
+        assert result.messages_per_round == 8.0
+        by_round = {}
+        for m in result.messages:
+            by_round.setdefault(m.round, []).append(m)
+        assert set(by_round) == {1, 2, 3, 4}
+        for records in by_round.values():
+            assert len(records) == 8
+
+    def test_messages_two_per_client_with_one_uplink_scalar(self):
+        """Under ``focus`` every participant gets the model and sends it back
+        with one scalar, and the participants are the clients scored."""
+        result = run(fast_config(participation_fraction=0.5))
+        pcount = result.final_model.arch.parameter_count()
+        for m in result.metrics:
+            assert len(m.participants) == 2 and m.participants == m.cred.client_ids
+            records = [r for r in result.messages if r.round == m.round]
+            expected = [("down", k, pcount, 0) for k in m.participants] + [("up", k, pcount, 1) for k in m.participants]
+            assert [(r.direction, r.client, r.param_count, r.scalar_count) for r in records] == expected
+        assert len(result.messages) == 2 * 2 * len(result.metrics)
+
+    def test_uplink_carries_no_extra_scalar(self):
+        result = run(fast_config(aggregator="fedavg", participation_fraction=0.5))
+        rounds = {m.round: m.participants for m in result.metrics}
+        for t, participants in rounds.items():
+            records = [r for r in result.messages if r.round == t]
+            assert len(records) == 2 * len(participants) == 4
+            assert sorted(r.client for r in records if r.direction == "up") == list(participants)
+            assert all(r.scalar_count == 0 for r in records)
+        assert len(set(rounds.values())) > 1  # the draw varies by round
+
+    def test_local_baseline_never_communicates(self):
+        result = run(fast_config(aggregator="local_baseline"))
+        assert all(m.participants == (0, 1, 2, 3) for m in result.metrics)
+        assert result.messages == ()
+        assert result.messages_per_round == 0.0
+        assert result.final_model is None
+        assert result.final_weights is None
+        assert all(m.cred is None for m in result.metrics)
 
     def test_fl_training_loss_averages_local_models_on_own_shards(self):
         cfg = fast_config(rounds=1)
@@ -294,6 +350,23 @@ class TestRun:
         # FedAvg scores nothing itself, so every call is for the FL loss: all
         # four initial models in round 1, then each round's two participants.
         assert len(scored) == 4 + 4 * 2
+
+    def test_partial_participation_runs_and_keeps_simplex(self):
+        result = run(fast_config(participation_fraction=0.5, rounds=6))
+        for m in result.metrics:
+            assert m.cred is not None
+            assert len(m.cred.client_ids) == 2
+        np.testing.assert_allclose(sum(result.final_weights), 1.0, atol=1e-9)
+
+    def test_local_baseline_trains_every_client_whatever_the_participation(self):
+        """Characterizes ``local_baseline``: it never communicates, so it
+        trains every client each round and ignores ``participation_fraction``."""
+        full, half = (
+            run(fast_config(aggregator="local_baseline", participation_fraction=p)) for p in (1.0, 0.5)
+        )
+        assert [(m.test_accuracy, m.fl_loss) for m in half.metrics] == [
+            (m.test_accuracy, m.fl_loss) for m in full.metrics
+        ]
 
     def test_round_failure_carries_partial_metrics(self):
         with pytest.raises(RoundError) as excinfo:

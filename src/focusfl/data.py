@@ -39,14 +39,15 @@ class Dataset:
                 f"labels must be 1-D with one entry per row, got {labels.shape} for {features.shape[0]} rows"
             )
         if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            if labels.dtype.kind not in "bf" or not np.all(labels == labels.astype(np.int64)):
+            if labels.dtype.kind not in "bf" or not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
                 raise InvalidInputError("labels must be integers")
-        labels = labels.astype(np.int64)
         num_classes = as_int("num_classes", self.num_classes, 2)
+        # Checked before the cast, which would wrap or warn on labels beyond int64.
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInputError(
                 f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
             )
+        labels = labels.astype(np.int64)
         labels.flags.writeable = False
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)

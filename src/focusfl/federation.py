@@ -112,24 +112,11 @@ class CredReport:
 
     def __post_init__(self):
         ids = as_items("client_ids", self.client_ids, as_int)
-        if len(set(ids)) != len(ids) or not ids:
-            raise InvalidInputError(f"client_ids must be non-empty and unique, got {ids}")
         object.__setattr__(self, "client_ids", ids)
-        arrays = {}
         for name in ("ls", "ll", "e", "c", "w"):
             arr = frozen_f64(getattr(self, name), name, 1)
             if arr.shape != (len(ids),):
                 raise InvalidInputError(f"{name} has shape {arr.shape}, expected ({len(ids)},)")
-            arrays[name] = arr
-        if np.any(arrays["ls"] < 0) or np.any(arrays["ll"] < 0):
-            raise InvalidInputError("cross-entropy scores must be non-negative")
-        if not np.array_equal(arrays["e"], arrays["ls"] + arrays["ll"]):
-            raise InvalidInputError("e must equal ls + ll exactly as computed")
-        if np.any(arrays["c"] < 0) or np.any(arrays["c"] > 1):
-            raise InvalidInputError("credibilities must lie in [0, 1]")
-        if np.any(arrays["w"] < 0) or float(arrays["w"].sum()) > 1.0 + 1e-9:
-            raise InvalidInputError("weights must be non-negative and sum to at most 1")
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
     def __reduce__(self):

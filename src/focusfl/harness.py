@@ -10,6 +10,7 @@ and batch schedules.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -350,9 +351,24 @@ def _local_baseline_round(
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a full experiment and return its metrics and final model.
 
-    A failed round is re-raised as :class:`RoundError` carrying the metrics
-    of all completed rounds in ``partial_metrics``.
+    The run computes on one OpenBLAS thread, since the thread count changes
+    how wide matrix products round; the caller's (process-wide) count is
+    restored afterwards.  A failed round is re-raised as :class:`RoundError`
+    carrying the metrics of all completed rounds in ``partial_metrics``.
     """
+    blas = _blas_threads()
+    if blas is None:
+        return _run(cfg)
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        return _run(cfg)
+    finally:
+        set_threads(threads)
+
+
+def _run(cfg: ExperimentConfig) -> RunResult:
     seeds = derive_seeds(cfg.master_seed)
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
@@ -427,6 +443,7 @@ def _workers(jobs: int, cpus: int) -> int:
     return max(1, min(jobs, cpus))
 
 
+@functools.cache
 def _blas_threads():
     """``(get, set)`` for the thread count of the OpenBLAS bundled with NumPy, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -463,52 +480,44 @@ def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
 
     With ``n`` usable cores (at most one per config), this process runs
     ``cfgs[0::n]`` itself and a pool of ``n - 1`` forked processes runs the
-    rest.  Meanwhile OpenBLAS is pinned to one thread, so the processes do
-    not oversubscribe the cores; the old count is restored afterwards.  The
-    configs run one after another in this process instead when there is one
-    core, no CPU affinity mask (off Linux), no OpenBLAS thread count to set,
-    or another live Python thread, which would make forking unsafe.  Either
-    way the results come back in input order, and a failure surfaces as in
-    a serial loop: the first failing config in input order raises its own
-    exception.
+    rest.  Every :func:`run` holds OpenBLAS at one thread, so the processes
+    do not oversubscribe the cores.  The configs run one after another in
+    this process instead when there is one core, no CPU affinity mask (off
+    Linux), no OpenBLAS thread count to set, or another live Python thread,
+    which would make forking unsafe.  Either way the results come back in
+    input order, and a failure surfaces as in a serial loop: the first
+    failing config in input order raises its own exception.
     """
     cfgs = tuple(cfgs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n = _workers(len(cfgs), cpus)
-    blas = _blas_threads() if n > 1 and threading.active_count() == 1 else None
-    if blas is None:
+    if n == 1 or threading.active_count() > 1 or _blas_threads() is None:
         return tuple(run(cfg) for cfg in cfgs)
 
     import multiprocessing
     from concurrent.futures import Future, ProcessPoolExecutor
 
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    try:
-        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            jobs = {i: pool.submit(_run_in_worker, cfg) for i, cfg in enumerate(cfgs) if i % n}
-            try:
-                for i in range(0, len(cfgs), n):
-                    jobs[i] = Future()
-                    try:
-                        jobs[i].set_result(run(cfgs[i]))
-                    except Exception as exc:  # raised below, after every earlier config
-                        jobs[i].set_exception(exc)
-                        break
-                results = []
-                for i in range(len(cfgs)):
-                    try:
-                        results.append(jobs[i].result())
-                    except _WorkerFailure as failure:
-                        exc, cause = failure.args
-                        raise exc from cause
-                return tuple(results)
-            finally:
-                for job in jobs.values():
-                    job.cancel()
-    finally:
-        set_threads(threads)
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        jobs = {i: pool.submit(_run_in_worker, cfg) for i, cfg in enumerate(cfgs) if i % n}
+        try:
+            for i in range(0, len(cfgs), n):
+                jobs[i] = Future()
+                try:
+                    jobs[i].set_result(run(cfgs[i]))
+                except Exception as exc:  # raised below, after every earlier config
+                    jobs[i].set_exception(exc)
+                    break
+            results = []
+            for i in range(len(cfgs)):
+                try:
+                    results.append(jobs[i].result())
+                except _WorkerFailure as failure:
+                    exc, cause = failure.args
+                    raise exc from cause
+            return tuple(results)
+        finally:
+            for job in jobs.values():
+                job.cancel()
 
 
 # ---------------------------------------------------------------------------

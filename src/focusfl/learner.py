@@ -193,7 +193,8 @@ def _forward32(m: ModelParams, d: Dataset) -> np.ndarray:
     range, since the cast would make it infinite and every score ``nan``.
     ``d`` is not validated.
     """
-    values = m.values.astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects what overflows
+        values = m.values.astype(np.float32)
     if not np.isfinite(values).all():
         raise InvalidInputError("model parameters lie beyond float32's range and cannot be scored")
     return forward(m.arch, values, d.features.astype(np.float32))
@@ -357,39 +358,41 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     """
     check_fits(m0.arch, d, "training set")
     arch = m0.arch
-    values = m0.values.astype(np.float32)
-    features = d.features.astype(np.float32)
-    onehot = _one_hot(d.labels, arch.num_classes, np.float32)
-    grad = np.empty_like(values)
-    layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
-    # Steps reuse these buffers rather than allocate temporaries; a short
-    # last mini-batch uses their leading rows.
-    full = cfg.batch_size == "full" or cfg.batch_size >= d.n
-    rows = d.n if full else cfg.batch_size
-    outs = [np.empty((rows, width), np.float32) for width in arch.layer_dims[1:]]
-    backs = [np.empty((rows, h), np.float32) for h in arch.hidden_dims]
-    shift = np.empty(rows, np.float32)
-    if full:
-        batches = itertools.repeat((features, onehot))
-    else:
-        batches = _minibatches(features, onehot, rows, np.random.default_rng(cfg.seed))
-    for step in range(1, cfg.local_steps + 1):
-        x, t = next(batches)
-        n = x.shape[0]
-        step_outs, step_backs = ([o[:n] for o in outs], [b[:n] for b in backs]) if n < rows else (outs, backs)
-        _forward_into(layers, x, step_outs, shift[:n])
-        _backward_into(layers, grad_layers, x, t, step_outs, step_backs, "mean")
-        # Every row adds into the last output-bias gradient, and a softmax
-        # row is either all finite or all nan, so this entry is finite
-        # exactly when the batch loss is.
-        if not math.isfinite(grad[-1]):
-            raise TrainingDivergenceError(f"non-finite training loss at step {step}", step=step)
-        grad *= cfg.learning_rate
-        values -= grad
-    if not np.all(np.isfinite(values)):
-        raise TrainingDivergenceError(
-            f"non-finite parameters after step {cfg.local_steps}", step=cfg.local_steps
-        )
+    # Overflow leaves inf or nan, which the checks below raise as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = m0.values.astype(np.float32)
+        features = d.features.astype(np.float32)
+        onehot = _one_hot(d.labels, arch.num_classes, np.float32)
+        grad = np.empty_like(values)
+        layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
+        # Steps reuse these buffers rather than allocate temporaries; a short
+        # last mini-batch uses their leading rows.
+        full = cfg.batch_size == "full" or cfg.batch_size >= d.n
+        rows = d.n if full else cfg.batch_size
+        outs = [np.empty((rows, width), np.float32) for width in arch.layer_dims[1:]]
+        backs = [np.empty((rows, h), np.float32) for h in arch.hidden_dims]
+        shift = np.empty(rows, np.float32)
+        if full:
+            batches = itertools.repeat((features, onehot))
+        else:
+            batches = _minibatches(features, onehot, rows, np.random.default_rng(cfg.seed))
+        for step in range(1, cfg.local_steps + 1):
+            x, t = next(batches)
+            n = x.shape[0]
+            step_outs, step_backs = ([o[:n] for o in outs], [b[:n] for b in backs]) if n < rows else (outs, backs)
+            _forward_into(layers, x, step_outs, shift[:n])
+            _backward_into(layers, grad_layers, x, t, step_outs, step_backs, "mean")
+            # Every row adds into the last output-bias gradient, and a softmax
+            # row is either all finite or all nan, so this entry is finite
+            # exactly when the batch loss is.
+            if not math.isfinite(grad[-1]):
+                raise TrainingDivergenceError(f"non-finite training loss at step {step}", step=step)
+            grad *= cfg.learning_rate
+            values -= grad
+        if not np.all(np.isfinite(values)):
+            raise TrainingDivergenceError(
+                f"non-finite parameters after step {cfg.local_steps}", step=cfg.local_steps
+            )
     return ModelParams(arch, values)
 
 

@@ -193,13 +193,10 @@ class TestCmdRun:
         assert not out.exists()
 
     def test_runtime_failure_exits_three(self, tmp_path, capsys):
-        import numpy as np
-
         config = write_config(
             tmp_path, text=FAST_CONFIG.replace("learning_rate = 0.3", "learning_rate = 1e308").replace("hidden_dims = 8", "hidden_dims ="),
         )
-        with np.errstate(all="ignore"):
-            code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
+        code = main(["run", "--config", config, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "round" in capsys.readouterr().err
 

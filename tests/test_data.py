@@ -35,6 +35,8 @@ class TestDataset:
             Dataset(np.zeros((4, 2)), np.array([0, 0, 0, 2]), 2)
         with pytest.raises(InvalidInputError):
             Dataset(np.full((2, 2), np.inf), np.zeros(2, dtype=int), 2)
+        with pytest.raises(InvalidInputError, match="labels must lie in"):  # beyond int64, checked before the cast
+            Dataset(np.zeros((2, 2)), [1e300, 0.0], 2)
 
     def test_arrays_are_frozen_copies(self):
         features = np.zeros((3, 2))
@@ -274,10 +276,12 @@ class TestValueRules:
             ("target_clients", lambda: NoiseSpec(kind="randomize", fraction=0.5, target_clients=0)),
             ("flip_map", lambda: NoiseSpec(kind="pairwise_flip", fraction=0.5, flip_map=[1, 0])),
             ("labels", lambda: Dataset(np.zeros((2, 2)), ["a", "b"], 2)),
+            ("labels", lambda: Dataset(np.zeros((2, 2)), [np.nan, 1.0], 2)),
+            ("labels", lambda: Dataset(np.zeros((2, 2)), [np.inf, 1.0], 2)),
         ],
         ids=[
             "num_clients-nan", "noise-seed-None", "target_clients-0.5", "flip_map-fractional",
-            "target_clients-int", "flip_map-list", "labels-str",
+            "target_clients-int", "flip_map-list", "labels-str", "labels-nan", "labels-inf",
         ],
     )
     def test_non_integers_are_rejected_by_name(self, name, make):

@@ -100,7 +100,6 @@ class TestModelTest:
         with pytest.raises(InvalidInputError, match="features"):
             model_test(m, Dataset(np.zeros((2, 3)), np.array([0, 1]), 2))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("weights", [[1e39, 0.0, 0.0, 0.0], [1e39, -1e39, 0.0, 0.0]])
     def test_parameters_beyond_float32_range_are_rejected(self, weights):
         """Weights of 1e39 are finite in float64 but infinite in float32, so
@@ -297,17 +296,9 @@ class TestStateValidation:
         np.testing.assert_array_equal(server.weights, n / n.sum())
         assert server.round == 0
 
-    def test_cred_report_requires_exact_sum(self):
-        ls = np.array([1.0, 2.0])
-        ll = np.array([0.5, 0.25])
-        with pytest.raises(InvalidInputError):
-            CredReport((0, 1), ls, ll, ls + ll + 1e-9, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        report = CredReport((0, 1), ls, ll, ls + ll, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(report.e, [1.5, 2.25])
-
-    def test_cred_report_rejects_negative_and_nonfinite_scores(self):
+    def test_cred_report_rejects_nonfinite_scores(self):
         half = np.array([0.5, 0.5])
-        for ls, ll in (([-0.1, 1.0], [1.0, 1.0]), ([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.inf])):
+        for ls, ll in (([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, np.inf])):
             ls, ll = np.array(ls), np.array(ll)
             with pytest.raises(InvalidInputError):
                 CredReport((0, 1), ls, ll, ls + ll, half, half)
@@ -410,8 +401,7 @@ class TestFocusRound:
         bad = np.full(server.global_model.values.shape, 1.7e308)
         server = replace(server, global_model=ModelParams(server.global_model.arch, bad))
         with pytest.raises(RoundError) as excinfo:
-            with np.errstate(all="ignore"):
-                focus_round(server, clients, SgdConfig(0.5, 3, seed=0))
+            focus_round(server, clients, SgdConfig(0.5, 3, seed=0))
         assert excinfo.value.round_index == 1
 
     def test_participants_without_stored_weight_are_degenerate(self):

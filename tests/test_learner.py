@@ -233,7 +233,6 @@ class TestClientUpdate:
         assert loss_after < loss_before
         assert accuracy(trained, d) >= 0.95
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step_index(self):
         """Parameters at the float64 overflow edge send the forward pass to
         inf - inf = nan, which must surface as a divergence error, not as a
@@ -260,7 +259,6 @@ class TestClientUpdate:
             assert trained.values.dtype == np.float64 and not trained.values.flags.writeable
             assert np.array_equal(trained.values, trained.values.astype(np.float32))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_weights_beyond_float32_range_diverge_at_step_1(self):
         """Weights of 1e39 are finite in float64, and on inputs of 1e-30 the
         float64 logits would be a harmless +-1e9.  The float32 cast makes
@@ -273,7 +271,6 @@ class TestClientUpdate:
         assert excinfo.value.step == 1
         assert str(excinfo.value) == "non-finite training loss at step 1"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "local_steps, message, step",
         [(1, "non-finite parameters after step 1", 1), (5, "non-finite training loss at step 2", 2)],

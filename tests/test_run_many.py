@@ -32,6 +32,10 @@ FAST = dict(
 GOOD = ExperimentConfig(**FAST)
 # A learning rate this large makes local training diverge.
 DIVERGING = ExperimentConfig(**{**FAST, "learning_rate": 1e308, "hidden_dims": (), "rounds": 3})
+# Wide enough that OpenBLAS splits its products across threads, which
+# changes their rounding: computed at 1 and at 2 threads, this config's
+# final model and scores differ (NumPy 2.4.6, OpenBLAS 0.3.31).
+BLAS_SENSITIVE = ExperimentConfig(num_clients=2, samples_per_class=650, dim=32, hidden_dims=(256,), local_steps=2, rounds=1)
 
 
 def round_trip(value):
@@ -129,6 +133,39 @@ class FakeBlas:
         self.threads = n
 
 
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A FakeBlas at 7 threads, and the thread counts the scenario build and each accuracy call saw."""
+    blas, seen = FakeBlas(threads=7), []
+    monkeypatch.setattr(harness, "_blas_threads", lambda: (blas.get, blas.set))
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            seen.append(blas.threads)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(harness, "build_scenario")
+    spy(harness.learner, "accuracy")
+    return blas, seen
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The real OpenBLAS at 2 threads for the test, and its old count restored after."""
+    blas = harness._blas_threads()
+    if blas is None:
+        pytest.skip("the bundled OpenBLAS thread count cannot be set")
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(2)
+    yield
+    set_threads(threads)
+
+
 class TestRunMany:
     def test_results_equal_serial_runs_in_input_order(self, two_workers):
         cfgs = [
@@ -160,12 +197,11 @@ class TestRunMany:
         assert run_many([]) == ()
 
     def test_first_failure_in_input_order_raises_like_run(self, two_workers):
-        with np.errstate(all="ignore"):
-            with pytest.raises(RoundError) as serial:
-                run(DIVERGING)
-            # The diverging config runs in the pool worker, both good ones here.
-            with pytest.raises(RoundError) as parallel:
-                run_many([GOOD, DIVERGING, GOOD])
+        with pytest.raises(RoundError) as serial:
+            run(DIVERGING)
+        # The diverging config runs in the pool worker, both good ones here.
+        with pytest.raises(RoundError) as parallel:
+            run_many([GOOD, DIVERGING, GOOD])
         assert multiprocessing.active_children() == []
         assert type(parallel.value) is type(serial.value)
         assert str(parallel.value) == str(serial.value)
@@ -178,27 +214,33 @@ class TestRunMany:
     def test_a_pool_failure_before_a_local_one_wins(self, two_workers, tmp_path):
         missing = ExperimentConfig(**FAST, dataset_file=str(tmp_path / "missing.csv"))
         # Index 1 fails in the pool worker, index 2 fails here; index 1 is first.
-        with np.errstate(all="ignore"), pytest.raises(RoundError):
+        with pytest.raises(RoundError):
             run_many([GOOD, DIVERGING, missing])
 
     def test_a_local_failure_before_a_pool_one_wins(self, two_workers, tmp_path):
         missing = ExperimentConfig(**FAST, dataset_file=str(tmp_path / "missing.csv"))
-        with np.errstate(all="ignore"), pytest.raises(ConfigurationError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             run_many([missing, DIVERGING])
         assert isinstance(excinfo.value.__cause__, FileNotFoundError)
 
-    def test_blas_threads_pinned_to_one_and_restored_after_return(self, two_workers, monkeypatch):
-        blas = FakeBlas(threads=7)
-        monkeypatch.setattr(harness, "_blas_threads", lambda: (blas.get, blas.set))
-        run_many([GOOD, GOOD])
+    def test_blas_threads_pinned_to_one_and_restored_after_return(self, fake_blas):
+        # run holds the pin itself, so a lone run and run_many's runs compute alike.
+        blas, seen = fake_blas
+        run(GOOD)
         assert blas.history == [1, 7]
+        assert seen == [1] * (1 + GOOD.rounds)  # the scenario build, then each round's accuracy
 
-    def test_blas_threads_restored_after_raise(self, two_workers, monkeypatch):
-        blas = FakeBlas(threads=3)
-        monkeypatch.setattr(harness, "_blas_threads", lambda: (blas.get, blas.set))
-        with np.errstate(all="ignore"), pytest.raises(RoundError):
-            run_many([DIVERGING, GOOD])
-        assert blas.history == [1, 3]
+    def test_blas_threads_restored_after_raise(self, fake_blas):
+        blas, seen = fake_blas
+        with pytest.raises(RoundError):
+            run(DIVERGING)
+        assert blas.history == [1, 7]
+        assert seen and set(seen) == {1}
+
+    def test_a_lone_run_writes_the_bytes_of_a_parallel_one(self, two_workers, two_blas_threads):
+        alone = run(BLAS_SENSITIVE)
+        paired, _ = run_many([BLAS_SENSITIVE, GOOD])  # at most one extra process
+        assert run_result_bytes(alone) == run_result_bytes(paired)
 
     def test_the_real_blas_thread_count_is_unchanged(self, two_workers):
         blas = harness._blas_threads()
@@ -226,7 +268,7 @@ class TestRunMany:
         assert run_result_bytes(results[0]) == run_result_bytes(results[1])
 
     def test_one_config_runs_in_this_process(self, monkeypatch):
-        monkeypatch.setattr(harness, "_blas_threads", lambda: pytest.fail("one config needs no pool"))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda *a, **k: pytest.fail("one config needs no pool"))
         (result,) = run_many([GOOD])
         assert run_result_bytes(result) == run_result_bytes(run(GOOD))
 

@@ -1,6 +1,6 @@
 """Federated rounds: credibility scoring, weighted aggregation, FedAvg.
 
-One round engine serves both aggregators.  A round does, in order:
+One round engine serves all three aggregators.  A focus round does, in order:
 
 1. broadcast the global model; every participant runs local SGD on its shard;
 2. the server aggregates the returned models using the weights computed at
@@ -14,10 +14,11 @@ One round engine serves both aggregators.  A round does, in order:
 
 FedAvg (:func:`fedavg_round`) is the same round with scoring off: steps 3
 and 4 are skipped, step 2 uses the participants' sample-proportional weights
-``n_k / sum n``, and the stored weights never change.  Every participant
-exchanges exactly two logical messages per round: one model down, and one
-model up, which carries the ``LL`` scalar when scoring is on; the rounds log
-nothing, and ``harness.RunResult.messages`` derives the log from participants.
+``n_k / sum n``, and the stored weights never change.  The local baseline
+(:func:`local_baseline_round`) runs step 1 alone, from each participant's own
+model.  A federated participant exchanges two logical messages per round:
+one model down, and one model up, which carries ``LL`` under focus; the
+rounds log nothing, and ``harness.RunResult.messages`` derives the log.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .learner import ArchSpec, ModelParams, SgdConfig
 
 # Magic prefix of the binary model checkpoint container (version 1).
 MODEL_MAGIC = b"FOCUSMP1"
+
+AGGREGATORS = ("focus", "fedavg", "local_baseline")
 
 
 @dataclass(frozen=True)
@@ -285,17 +288,19 @@ def _round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]],
-    scoring: bool,
+    aggregator: str,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], Optional[CredReport]]:
-    """One round of either aggregator; ``scoring=False`` is FedAvg."""
+    """One round of ``aggregator``, one of :data:`AGGREGATORS`."""
     part = _check_round_args(server, clients, participants)
     idx = list(part)
     t = server.round + 1
     n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
+    global_model, weights, report = server.global_model, server.weights, None
+    # Each participant starts from the broadcast global model, or from its own under local_baseline.
+    starts = [clients[k].local_model if aggregator == "local_baseline" else global_model for k in part]
     try:
-        local_models = [learner.client_update(server.global_model, clients[k].data, sgd) for k in part]
-
-        if scoring:
+        local_models = [learner.client_update(m, clients[k].data, sgd) for m, k in zip(starts, part)]
+        if aggregator == "focus":
             # Full participation uses the stored weights exactly; otherwise the
             # participants' stored mass is spread over them for aggregation.
             w_prev = server.weights[idx]
@@ -304,16 +309,9 @@ def _round(
                 raise DegenerateCredibilityError(
                     f"participants {part} carry no aggregation weight from the previous round"
                 )
-            w_agg = w_prev / mass
-        else:
-            w_agg = n_part / n_part.sum()
-        new_global = aggregate(local_models, w_agg)
-
-        weights = server.weights
-        report = None
-        if scoring:
+            global_model = aggregate(local_models, w_prev / mass)
             ls = np.array([model_test(m, server.benchmark, server.reduction) for m in local_models])
-            ll = np.array([model_test(new_global, clients[k].data, server.reduction) for k in part])
+            ll = np.array([model_test(global_model, clients[k].data, server.reduction) for k in part])
             e = ls + ll
             e_mean = float(e.mean())
             e_scaled = e / e_mean if (server.standardize_e and e_mean > 0) else e
@@ -322,13 +320,15 @@ def _round(
             weights = np.array(server.weights)
             weights[idx] = w_part
             report = CredReport(client_ids=part, ls=ls, ll=ll, e=e, c=c_part, w=w_part)
+        elif aggregator == "fedavg":
+            global_model = aggregate(local_models, n_part / n_part.sum())
     except (TrainingDivergenceError, DegenerateCredibilityError) as exc:
         raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
 
     new_clients = list(clients)
     for j, k in enumerate(part):
         new_clients[k] = replace(clients[k], local_model=local_models[j])
-    new_server = replace(server, global_model=new_global, round=t, weights=weights)
+    new_server = replace(server, global_model=global_model, round=t, weights=weights)
     return new_server, tuple(new_clients), report
 
 
@@ -349,7 +349,7 @@ def focus_round(
     Training divergence and degenerate credibilities are re-raised as
     :class:`RoundError` with this round's 1-based index attached.
     """
-    return _round(server, clients, sgd, participants, scoring=True)
+    return _round(server, clients, sgd, participants, "focus")
 
 
 def fedavg_round(
@@ -364,7 +364,21 @@ def fedavg_round(
     and nothing else, and the stored weights never change.  Training
     divergence is re-raised as :class:`RoundError` with the round index.
     """
-    return _round(server, clients, sgd, participants, scoring=False)
+    return _round(server, clients, sgd, participants, "fedavg")
+
+
+def local_baseline_round(
+    server: ServerState,
+    clients: Sequence[ClientState],
+    sgd: SgdConfig,
+    participants: Optional[Sequence[int]] = None,
+) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
+    """Run one no-communication round: each participant trains its own model on; no argument is mutated.
+
+    Nothing is sent or aggregated, so only the round counter moves on the
+    server.  Training divergence is re-raised as :class:`RoundError`.
+    """
+    return _round(server, clients, sgd, participants, "local_baseline")
 
 
 # ---------------------------------------------------------------------------

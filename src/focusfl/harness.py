@@ -37,9 +37,10 @@ from .data import (
     synth_blobs,
     write_csv,
 )
-from .errors import ConfigurationError, InvalidInputError, RoundError, TrainingDivergenceError
+from .errors import ConfigurationError, InvalidInputError, RoundError
 from .errors import as_bool, as_int, as_items, as_positive, as_real, as_str
 from .federation import (
+    AGGREGATORS,
     ClientState,
     CredReport,
     MessageRecord,
@@ -47,10 +48,9 @@ from .federation import (
     fedavg_round,
     focus_round,
     init_server,
+    local_baseline_round,
 )
 from .learner import ArchSpec, ModelParams, SgdConfig
-
-AGGREGATORS = ("focus", "fedavg", "local_baseline")
 
 METRICS_CSV_HEADER = "round,accuracy,fl_loss"
 CRED_CSV_HEADER = "round,client,ls,ll,e,c,w"
@@ -333,21 +333,6 @@ def fl_training_loss(
     return float(np.mean(losses))
 
 
-def _local_baseline_round(
-    server: ServerState, clients: Tuple[ClientState, ...], sgd: SgdConfig, participants: Tuple[int, ...]
-) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
-    """No-communication baseline: each participant keeps training its own model."""
-    t = server.round + 1
-    updated = list(clients)
-    try:
-        for k in participants:
-            c = clients[k]
-            updated[k] = replace(c, local_model=learner.client_update(c.local_model, c.data, sgd))
-    except TrainingDivergenceError as exc:
-        raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
-    return replace(server, round=t), tuple(updated), None
-
-
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a full experiment and return its metrics and final model.
 
@@ -372,8 +357,8 @@ def _run(cfg: ExperimentConfig) -> RunResult:
     seeds = derive_seeds(cfg.master_seed)
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
-    # Looked up per run, so that a wrapped focus_round or fedavg_round is the one called.
-    round_fn = {"focus": focus_round, "fedavg": fedavg_round, "local_baseline": _local_baseline_round}[cfg.aggregator]
+    # Looked up in this module per run, so that a round function wrapped here is the one called.
+    round_fn = {"focus": focus_round, "fedavg": fedavg_round, "local_baseline": local_baseline_round}[cfg.aggregator]
     federated = cfg.aggregator != "local_baseline"  # else no global model or weights
     k = len(clients)
     size = max(1, int(round(cfg.participation_fraction * k))) if federated else k

@@ -86,3 +86,25 @@ def test_traced_functions_keep_the_leading_parameters_the_tracer_reads():
     for (module, attr), names in leading.items():
         params = list(inspect.signature(getattr(module, attr)).parameters)
         assert params[: len(names)] == names, f"{module.__name__}.{attr}{params}"
+
+
+def test_each_aggregator_calls_its_round_function_through_harness(monkeypatch):
+    """The tracer times ``federation.round`` by wrapping the round functions
+    on ``harness``; a run that called the engine some other way would leave
+    that span empty."""
+    from focusfl import harness
+
+    calls = {}
+    for name in ("focus_round", "fedavg_round", "local_baseline_round"):
+        real = getattr(harness, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    small = dict(samples_per_class=30, hidden_dims=(), local_steps=2, rounds=3)
+    for aggregator in harness.AGGREGATORS:
+        calls.clear()
+        harness.run(harness.ExperimentConfig(aggregator=aggregator, **small))
+        assert calls == {f"{aggregator}_round": 3}

@@ -20,6 +20,7 @@ from focusfl.federation import (
     focus_round,
     init_server,
     load_model,
+    local_baseline_round,
     model_test,
     save_model,
 )
@@ -53,6 +54,10 @@ def tiny_federation(seed=0, k=3, arch=ArchSpec(3, (), 3), n_per_client=24, **ser
     )
     server = init_server(global0, bench, clients, **server_kw)
     return server, clients
+
+
+# The checks of TestFocusRound that hold for every round function loop over these.
+ROUND_FNS = (focus_round, fedavg_round, local_baseline_round)
 
 
 class TestModelTest:
@@ -344,21 +349,23 @@ class TestFocusRound:
             assert np.array_equal(nc.local_model.values, expected.values)
 
     def test_inputs_are_not_mutated(self):
-        server, clients = tiny_federation(seed=4)
-        w_before = server.weights.copy()
-        models_before = [c.local_model.values.copy() for c in clients]
-        focus_round(server, clients, SgdConfig(0.2, 3, seed=1))
-        assert np.array_equal(server.weights, w_before)
-        assert server.round == 0
-        for c, before in zip(clients, models_before):
-            assert np.array_equal(c.local_model.values, before)
+        for round_fn in ROUND_FNS:
+            server, clients = tiny_federation(seed=4)
+            w_before = server.weights.copy()
+            models_before = [c.local_model.values.copy() for c in clients]
+            round_fn(server, clients, SgdConfig(0.2, 3, seed=1))
+            assert np.array_equal(server.weights, w_before), round_fn.__name__
+            assert server.round == 0, round_fn.__name__
+            for c, before in zip(clients, models_before):
+                assert np.array_equal(c.local_model.values, before), round_fn.__name__
 
     def test_round_counter_increments(self):
         server, clients = tiny_federation(seed=5)
         sgd = SgdConfig(0.2, 2, seed=0)
-        s1, c1, _ = focus_round(server, clients, sgd)
-        s2, _, _ = focus_round(s1, c1, sgd)
-        assert (server.round, s1.round, s2.round) == (0, 1, 2)
+        for round_fn in ROUND_FNS:
+            s1, c1, _ = round_fn(server, clients, sgd)
+            s2, _, _ = round_fn(s1, c1, sgd)
+            assert (server.round, s1.round, s2.round) == (0, 1, 2), round_fn.__name__
 
     def test_client_permutation_permutes_the_outputs(self):
         """Relabeling clients must permute scores and weights identically and
@@ -398,11 +405,14 @@ class TestFocusRound:
 
     def test_divergence_is_wrapped_with_round_index(self):
         server, clients = tiny_federation(seed=10, k=2)
-        bad = np.full(server.global_model.values.shape, 1.7e308)
-        server = replace(server, global_model=ModelParams(server.global_model.arch, bad))
-        with pytest.raises(RoundError) as excinfo:
-            focus_round(server, clients, SgdConfig(0.5, 3, seed=0))
-        assert excinfo.value.round_index == 1
+        bad = ModelParams(server.global_model.arch, np.full(server.global_model.values.shape, 1.7e308))
+        # local_baseline trains on from the clients' own models, the others from the global one.
+        server = replace(server, global_model=bad)
+        clients = tuple(replace(c, local_model=bad) for c in clients)
+        for round_fn in ROUND_FNS:
+            with pytest.raises(RoundError) as excinfo:
+                round_fn(server, clients, SgdConfig(0.5, 3, seed=0))
+            assert excinfo.value.round_index == 1, round_fn.__name__
 
     def test_participants_without_stored_weight_are_degenerate(self):
         server, clients = tiny_federation(seed=12, k=3)
@@ -415,14 +425,15 @@ class TestFocusRound:
     def test_rejects_mismatched_client_count_and_bad_participants(self):
         server, clients = tiny_federation(seed=11, k=3)
         sgd = SgdConfig(0.2, 2, seed=0)
-        with pytest.raises(InvalidInputError):
-            focus_round(server, clients[:2], sgd)
-        with pytest.raises(InvalidInputError):
-            focus_round(server, clients, sgd, participants=[])
-        with pytest.raises(InvalidInputError):
-            focus_round(server, clients, sgd, participants=[0, 3])
-        with pytest.raises(InvalidInputError):
-            focus_round(server, clients, sgd, participants=[1, 1])
+        for round_fn in ROUND_FNS:
+            with pytest.raises(InvalidInputError):
+                round_fn(server, clients[:2], sgd)
+            with pytest.raises(InvalidInputError):
+                round_fn(server, clients, sgd, participants=[])
+            with pytest.raises(InvalidInputError):
+                round_fn(server, clients, sgd, participants=[0, 3])
+            with pytest.raises(InvalidInputError):
+                round_fn(server, clients, sgd, participants=[1, 1])
 
     def test_fractional_participants_are_rejected(self):
         server, clients = tiny_federation(seed=11, k=3)
@@ -457,6 +468,24 @@ class TestFedavgRound:
         np.testing.assert_allclose(
             s_focus.global_model.values, s_fedavg.global_model.values, atol=1e-12
         )
+
+
+class TestLocalBaselineRound:
+    def test_participants_train_on_from_their_own_models_and_nothing_else_moves(self):
+        server, clients = tiny_federation(seed=14, k=4)
+        # Own models that differ from the global one, so a broadcast would show.
+        clients = tuple(replace(c, local_model=init_params(c.local_model.arch, seed=100 + c.id)) for c in clients)
+        sgd = SgdConfig(0.2, 3, seed=2)
+        new_server, new_clients, report = local_baseline_round(server, clients, sgd, participants=[0, 2])
+        assert report is None
+        for k in (0, 2):
+            expected = client_update(clients[k].local_model, clients[k].data, sgd)
+            assert np.array_equal(new_clients[k].local_model.values, expected.values)
+        for k in (1, 3):
+            assert new_clients[k] is clients[k]
+        assert np.array_equal(new_server.global_model.values, server.global_model.values)
+        np.testing.assert_array_equal(new_server.weights, server.weights)
+        assert new_server.round == 1
 
 
 class TestModelCheckpoint:

@@ -50,6 +50,7 @@ class ClientState:
     local_model: ModelParams
 
     def __post_init__(self):
+        object.__setattr__(self, "id", as_int("id", self.id))
         learner.check_fits(self.local_model.arch, self.data, f"client {self.id} shard")
 
     @property
@@ -166,7 +167,8 @@ def credibilities(e, alpha: float = 1.0) -> np.ndarray:
     Higher ``e`` (worse agreement) means lower credibility.  The softmax is
     computed with the usual max-shift; when every score is equal the result
     is exactly ``1 - 1/K`` per client.  A single client is fully credible
-    (``C = (1,)``) since there is no one to compare against.
+    (``C = (1,)``) since there is no one to compare against.  An ``alpha * e``
+    beyond the float64 range raises :class:`DegenerateCredibilityError`.
     """
     e = frozen_f64(e, "e", 1)
     if e.size == 0:
@@ -174,8 +176,11 @@ def credibilities(e, alpha: float = 1.0) -> np.ndarray:
     alpha = as_positive("alpha", alpha)
     if e.size == 1:
         return np.ones(1)
-    z = alpha * e
-    z = z - z.max()
+    with np.errstate(over="ignore"):  # a shifted score below the float64 range is rightly -inf
+        z = alpha * e
+        if not np.all(np.isfinite(z)):
+            raise DegenerateCredibilityError(f"alpha * e overflows float64 at alpha={alpha!r}")
+        z = z - z.max()
     s = np.exp(z)
     s = s / s.sum()
     return 1.0 - s

@@ -165,7 +165,9 @@ def _parse_items(kind, empty=()):
     return lambda raw: tuple(kind(cell.strip()) for cell in raw.split(",")) if raw else empty
 
 
-def _parse_flip_map(raw: str) -> Dict[int, int]:
+def _parse_flip_map(raw: str) -> Optional[Dict[int, int]]:
+    if not raw:
+        return None
     mapping: Dict[int, int] = {}
     for pair in raw.split(","):
         src, sep, dst = pair.partition(":")

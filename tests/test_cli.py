@@ -107,6 +107,17 @@ class TestConfigParsing:
         assert spec.target_clients == (0, 2)
         assert spec.flip_map == {0: 1, 1: 0}
 
+    def test_empty_flip_map_means_none(self):
+        cfg = parse_config_text(
+            "noise_kind = randomize\n"
+            "noise_fraction = 0.5\n"
+            "noise_clients = 1\n"
+            "noise_flip_map =\n"
+        )
+        (spec,) = cfg.noise
+        assert spec.kind == "randomize"
+        assert spec.flip_map is None
+
     def test_partial_noise_block_is_rejected(self):
         with pytest.raises(ConfigurationError, match="noise settings require"):
             parse_config_text("noise_kind = randomize\n")

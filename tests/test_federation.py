@@ -152,6 +152,10 @@ class TestCredibilities:
         assert np.all(np.isfinite(c))
         assert c[0] > c[1]
 
+    def test_alpha_times_e_beyond_float64_is_degenerate(self):
+        with pytest.raises(DegenerateCredibilityError, match="overflows"):
+            credibilities([1.0, 2.0], alpha=1e308)
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             credibilities(np.array([]))
@@ -279,10 +283,15 @@ class TestStateValidation:
             ("standardize_e", lambda server: replace(server, standardize_e="no")),
             ("client_ids", lambda server: CredReport(5, *[np.ones(1)] * 5)),
             ("participants", lambda server: focus_round(server, tiny_federation()[1], SgdConfig(0.1, 1), participants=5)),
+            ("id", lambda server: replace(tiny_federation()[1][0], id="x")),
+            ("id", lambda server: replace(tiny_federation()[1][0], id=None)),
+            ("id", lambda server: replace(tiny_federation()[1][0], id=float("nan"))),
+            ("id", lambda server: replace(tiny_federation()[1][0], id=-1)),
         ],
         ids=[
             "round-nan", "server-alpha-str", "credibilities-alpha-None",
             "server-standardize_e-str", "cred-client_ids-int", "participants-int",
+            "client-id-str", "client-id-None", "client-id-nan", "client-id-negative",
         ],
     )
     def test_bad_scalars_are_rejected_by_name(self, name, make):
@@ -294,6 +303,7 @@ class TestStateValidation:
         server, clients = tiny_federation()
         after, _, _ = focus_round(replace(server, round=2.0), clients, SgdConfig(0.1, 1))
         assert type(after.round) is int
+        assert type(replace(clients[0], id=1.0).id) is int
 
     def test_init_server_uses_sample_proportions(self):
         server, clients = tiny_federation(k=4)

@@ -12,7 +12,13 @@ import pytest
 from focusfl import federation, harness
 from focusfl.cli import main
 from focusfl.data import NoiseSpec
-from focusfl.errors import ConfigurationError, InvalidInputError, RoundError, TrainingDivergenceError
+from focusfl.errors import (
+    ConfigurationError,
+    DegenerateCredibilityError,
+    InvalidInputError,
+    RoundError,
+    TrainingDivergenceError,
+)
 from focusfl.federation import CredReport, load_model, model_test
 from focusfl.harness import (
     CRED_CSV_HEADER,
@@ -375,6 +381,17 @@ class TestRun:
         assert isinstance(excinfo.value.partial_metrics, tuple)
         assert len(excinfo.value.partial_metrics) == excinfo.value.round_index - 1
 
+
+    def test_overflowing_credibility_fails_the_round(self):
+        """A sum-reduced score times a huge alpha overflows float64 in round 1."""
+        cfg = ExperimentConfig(
+            alpha=1e308, standardize_e=False, reduction="sum", rounds=2, samples_per_class=30, local_steps=3
+        )
+        with pytest.raises(RoundError, match="round 1 failed") as excinfo:
+            run(cfg)
+        assert excinfo.value.round_index == 1
+        assert excinfo.value.partial_metrics == ()
+        assert isinstance(excinfo.value.__cause__, DegenerateCredibilityError)
 
     def test_local_baseline_failure_carries_round_and_partial_metrics(self, monkeypatch):
         """Four clients train per round, so the sixth update falls in round 2."""

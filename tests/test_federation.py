@@ -151,6 +151,8 @@ class TestCredibilities:
         c = credibilities(np.array([1e6, 2e6]), alpha=1.0)
         assert np.all(np.isfinite(c))
         assert c[0] > c[1]
+        # A shifted score below the float64 range has no weight in the softmax.
+        np.testing.assert_array_equal(credibilities([-1e308, 1e308]), [1.0, 0.0])
 
     def test_alpha_times_e_beyond_float64_is_degenerate(self):
         with pytest.raises(DegenerateCredibilityError, match="overflows"):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -288,15 +288,62 @@ def _check_round_args(
     return part
 
 
+def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig, lanes: int) -> List[ModelParams]:
+    """``learner.client_update`` of every ``(start, shard)`` pair, on ``lanes`` lanes.
+
+    Lane ``i`` trains pairs ``i, i + lanes, ...`` in order; lane 0 is this
+    thread and the others run on a thread pool that lives for this call.
+    NumPy and OpenBLAS release the GIL inside their kernels, so lanes
+    overlap only where the steps are BLAS-bound.  Each pair's result does
+    not depend on its lane.  Every lane stops at its first failure, and
+    once all lanes are done the failure of the lowest pair is raised, as a
+    serial loop would raise it.
+    """
+    lanes = min(lanes, len(starts))
+    arch = starts[0].arch
+    # This thread allocates every lane's buffers: a pool thread's own
+    # allocations would open a second malloc arena and raise peak RSS.
+    scratch = [
+        learner.StepBuffers(arch, max(learner.step_rows(sgd, d.n) for d in shards[i::lanes])) for i in range(lanes)
+    ]
+    models: List[Optional[ModelParams]] = [None] * len(starts)
+    failures: List[Optional[Tuple[int, Exception]]] = [None] * lanes
+
+    def lane(i: int) -> None:
+        for j in range(i, len(starts), lanes):
+            try:
+                models[j] = learner.client_update(starts[j], shards[j], sgd, scratch[i])
+            except Exception as exc:  # raised below, after every lane is done
+                failures[i] = (j, exc)
+                return
+
+    if lanes == 1:
+        lane(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(lanes - 1) as pool:
+            futures = [pool.submit(lane, i) for i in range(1, lanes)]
+            lane(0)
+        for future in futures:
+            future.result()
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return models
+
+
 def _round(
     server: ServerState,
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]],
     aggregator: str,
+    lanes: int,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], Optional[CredReport]]:
-    """One round of ``aggregator``, one of :data:`AGGREGATORS`."""
+    """One round of ``aggregator``, one of :data:`AGGREGATORS`, training on ``lanes`` lanes."""
     part = _check_round_args(server, clients, participants)
+    lanes = as_int("lanes", lanes, 1)
     idx = list(part)
     t = server.round + 1
     n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
@@ -304,7 +351,7 @@ def _round(
     # Each participant starts from the broadcast global model, or from its own under local_baseline.
     starts = [clients[k].local_model if aggregator == "local_baseline" else global_model for k in part]
     try:
-        local_models = [learner.client_update(m, clients[k].data, sgd) for m, k in zip(starts, part)]
+        local_models = _train(starts, [clients[k].data for k in part], sgd, lanes)
         if aggregator == "focus":
             # Full participation uses the stored weights exactly; otherwise the
             # participants' stored mass is spread over them for aggregation.
@@ -342,6 +389,7 @@ def focus_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
+    lanes: int = 1,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], CredReport]:
     """Run one credibility-weighted round; no argument is mutated.
 
@@ -351,10 +399,15 @@ def focus_round(
     re-scored; their previous collective weight mass is redistributed among
     them for aggregation, and absent clients keep their stored weight.
 
+    Participants train on ``lanes`` threads, this one included, and score
+    on this thread.  The outputs do not depend on ``lanes`` while each BLAS
+    call computes on one thread, which ``harness.run`` ensures; a failure is
+    the one of the lowest failing participant, as with one lane.
+
     Training divergence and degenerate credibilities are re-raised as
     :class:`RoundError` with this round's 1-based index attached.
     """
-    return _round(server, clients, sgd, participants, "focus")
+    return _round(server, clients, sgd, participants, "focus", lanes)
 
 
 def fedavg_round(
@@ -362,14 +415,16 @@ def fedavg_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
+    lanes: int = 1,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
     """Run one FedAvg round: train locally, average by sample counts; no argument is mutated.
 
     No scoring happens in either direction, so the uplink carries the model
-    and nothing else, and the stored weights never change.  Training
-    divergence is re-raised as :class:`RoundError` with the round index.
+    and nothing else, and the stored weights never change.  ``lanes`` is
+    as in :func:`focus_round`.  Training divergence is re-raised as
+    :class:`RoundError` with the round index.
     """
-    return _round(server, clients, sgd, participants, "fedavg")
+    return _round(server, clients, sgd, participants, "fedavg", lanes)
 
 
 def local_baseline_round(
@@ -377,13 +432,15 @@ def local_baseline_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
+    lanes: int = 1,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
     """Run one no-communication round: each participant trains its own model on; no argument is mutated.
 
     Nothing is sent or aggregated, so only the round counter moves on the
-    server.  Training divergence is re-raised as :class:`RoundError`.
+    server.  ``lanes`` is as in :func:`focus_round`.  Training divergence
+    is re-raised as :class:`RoundError`.
     """
-    return _round(server, clients, sgd, participants, "local_baseline")
+    return _round(server, clients, sgd, participants, "local_baseline", lanes)
 
 
 # ---------------------------------------------------------------------------

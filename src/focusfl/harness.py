@@ -9,6 +9,8 @@ and batch schedules.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import ctypes
 import functools
 import hashlib
@@ -335,27 +337,53 @@ def fl_training_loss(
     return float(np.mean(losses))
 
 
+# Rows per SGD step times the widest layer, from which a run trains its
+# participants on parallel lanes.  Below it the steps are short NumPy calls
+# that hand the GIL back and forth: a sweep of K=8, dim 32, 10 full-batch
+# steps on 2 threads gave 0.53-0.91x up to 50,560 and 1.18x at 50,624, then
+# 1.29-1.32x near 101k and 1.55x at 202k.
+LANE_MIN_WORK = 1 << 16
+
+# True while run_many's processes share the cores, so that each run trains
+# on one lane.
+_SHARES_CORES = contextvars.ContextVar("shares_cores", default=False)
+
+
+@contextlib.contextmanager
+def _sharing_cores():
+    token = _SHARES_CORES.set(True)
+    try:
+        yield
+    finally:
+        _SHARES_CORES.reset(token)
+
+
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a full experiment and return its metrics and final model.
 
     The run computes on one OpenBLAS thread, since the thread count changes
     how wide matrix products round; the caller's (process-wide) count is
-    restored afterwards.  A failed round is re-raised as :class:`RoundError`
+    restored afterwards.  With that pin in place, a run that is not one of
+    :func:`run_many`'s parallel runs trains each round's participants on
+    one thread per usable core, when rows per step (the smallest shard, or
+    ``batch_size`` if smaller) times the widest layer reaches
+    :data:`LANE_MIN_WORK`; otherwise on this thread alone.  The lane count
+    changes no output.  A failed round is re-raised as :class:`RoundError`
     carrying the metrics of all completed rounds in ``partial_metrics``.
     """
     blas = _blas_threads()
     if blas is None:
-        return _run(cfg)
+        return _run(cfg, cores=1)
     get_threads, set_threads = blas
     threads = get_threads()
     set_threads(1)
     try:
-        return _run(cfg)
+        return _run(cfg, cores=1 if _SHARES_CORES.get() else _usable_cores())
     finally:
         set_threads(threads)
 
 
-def _run(cfg: ExperimentConfig) -> RunResult:
+def _run(cfg: ExperimentConfig, cores: int) -> RunResult:
     seeds = derive_seeds(cfg.master_seed)
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
@@ -364,6 +392,8 @@ def _run(cfg: ExperimentConfig) -> RunResult:
     federated = cfg.aggregator != "local_baseline"  # else no global model or weights
     k = len(clients)
     size = max(1, int(round(cfg.participation_fraction * k))) if federated else k
+    step_work = min(learner.step_rows(sgd, c.n_k) for c in clients) * max(server.global_model.arch.layer_dims)
+    lanes = _workers(size, cores) if step_work >= LANE_MIN_WORK else 1
     prng = np.random.default_rng(seeds["participation"])
     metrics: List[RoundMetrics] = []
     # Clients that sat a round out keep their model, so their loss is reused.
@@ -372,7 +402,7 @@ def _run(cfg: ExperimentConfig) -> RunResult:
     try:
         for t in range(1, cfg.rounds + 1):
             participants = tuple(np.sort(prng.choice(k, size=size, replace=False)).tolist())
-            server, clients, cred = round_fn(server, clients, sgd, participants)
+            server, clients, cred = round_fn(server, clients, sgd, participants, lanes)
             models = [server.global_model] if federated else [c.local_model for c in clients]
             acc = float(np.mean([learner.accuracy(m, test) for m in models]))
             metrics.append(RoundMetrics(t, acc, fl_training_loss(clients, scored), cred, participants))
@@ -426,8 +456,13 @@ def seed_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> Tuple[RunResult, 
 
 
 def _workers(jobs: int, cpus: int) -> int:
-    """Processes for ``jobs`` independent runs on ``cpus`` cores: at most one per job and per core."""
+    """Processes or threads for ``jobs`` independent jobs on ``cpus`` cores: at most one per job and per core."""
     return max(1, min(jobs, cpus))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity mask, or 1 off Linux."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @functools.cache
@@ -457,7 +492,8 @@ class _WorkerFailure(Exception):
 def _run_in_worker(cfg: ExperimentConfig) -> RunResult:
     # The pool pickles its callable by name, and ``run`` may have been wrapped.
     try:
-        return run(cfg)
+        with _sharing_cores():
+            return run(cfg)
     except Exception as exc:
         raise _WorkerFailure(exc, exc.__cause__) from None
 
@@ -467,17 +503,17 @@ def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
 
     With ``n`` usable cores (at most one per config), this process runs
     ``cfgs[0::n]`` itself and a pool of ``n - 1`` forked processes runs the
-    rest.  Every :func:`run` holds OpenBLAS at one thread, so the processes
-    do not oversubscribe the cores.  The configs run one after another in
-    this process instead when there is one core, no CPU affinity mask (off
-    Linux), no OpenBLAS thread count to set, or another live Python thread,
-    which would make forking unsafe.  Either way the results come back in
-    input order, and a failure surfaces as in a serial loop: the first
-    failing config in input order raises its own exception.
+    rest.  Every :func:`run` holds OpenBLAS at one thread, and these runs
+    train on one lane each, so the processes do not oversubscribe the
+    cores.  The configs run one after another in this process instead, as
+    lone runs, when there is one core, no CPU affinity mask (off Linux), no
+    OpenBLAS thread count to set, or another live Python thread, which
+    would make forking unsafe.  Either way the results come back in input
+    order, and a failure surfaces as in a serial loop: the first failing
+    config in input order raises its own exception.
     """
     cfgs = tuple(cfgs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = _workers(len(cfgs), cpus)
+    n = _workers(len(cfgs), _usable_cores())
     if n == 1 or threading.active_count() > 1 or _blas_threads() is None:
         return tuple(run(cfg) for cfg in cfgs)
 
@@ -487,13 +523,14 @@ def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
     with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         jobs = {i: pool.submit(_run_in_worker, cfg) for i, cfg in enumerate(cfgs) if i % n}
         try:
-            for i in range(0, len(cfgs), n):
-                jobs[i] = Future()
-                try:
-                    jobs[i].set_result(run(cfgs[i]))
-                except Exception as exc:  # raised below, after every earlier config
-                    jobs[i].set_exception(exc)
-                    break
+            with _sharing_cores():
+                for i in range(0, len(cfgs), n):
+                    jobs[i] = Future()
+                    try:
+                        jobs[i].set_result(run(cfgs[i]))
+                    except Exception as exc:  # raised below, after every earlier config
+                        jobs[i].set_exception(exc)
+                        break
             results = []
             for i in range(len(cfgs)):
                 try:

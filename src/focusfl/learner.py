@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -339,7 +339,30 @@ def _minibatches(features, onehot, batch_size: int, rng: np.random.Generator):
             )
 
 
-def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
+def step_rows(cfg: SgdConfig, n: int) -> int:
+    """Rows of one :func:`client_update` step of ``cfg`` on an ``n``-row shard."""
+    return n if cfg.batch_size == "full" else min(cfg.batch_size, n)
+
+
+class StepBuffers:
+    """Float32 scratch for :func:`client_update` steps of up to ``rows`` rows on ``arch``.
+
+    One ``(rows, width)`` array per layer for the forward pass, one per
+    hidden layer for the backward pass, and the softmax's ``(rows,)``.  A
+    caller that trains many shards allocates one and passes it to every
+    call on one thread, so the calls map no fresh pages.
+    """
+
+    def __init__(self, arch: ArchSpec, rows: int):
+        self.arch, self.rows = arch, as_int("rows", rows, 1)
+        self.outs = [np.empty((rows, width), np.float32) for width in arch.layer_dims[1:]]
+        self.backs = [np.empty((rows, h), np.float32) for h in arch.hidden_dims]
+        self.shift = np.empty(rows, np.float32)
+
+
+def client_update(
+    m0: ModelParams, d: Dataset, cfg: SgdConfig, scratch: Optional[StepBuffers] = None
+) -> ModelParams:
     """Run exactly ``cfg.local_steps`` SGD steps on ``d`` starting from ``m0``.
 
     Each step computes the mean-reduced cross-entropy gradient on the current
@@ -355,9 +378,20 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
     on the way out.  Parameters beyond float32's range (about 3.4e38) become
     infinite in that cast, so training from them raises
     :class:`TrainingDivergenceError`.
+
+    The steps write into ``scratch``, a :class:`StepBuffers` for ``m0.arch``
+    of at least :func:`step_rows` rows, which no other thread may use
+    during the call; without one, the call allocates its own.  The result
+    does not depend on which buffers the steps used.
     """
     check_fits(m0.arch, d, "training set")
     arch = m0.arch
+    rows = step_rows(cfg, d.n)
+    if scratch is not None and (scratch.arch != arch or scratch.rows < rows):
+        raise InvalidInputError(
+            f"scratch holds {scratch.rows} rows for {scratch.arch.layer_dims}, "
+            f"but steps need {rows} rows for {arch.layer_dims}"
+        )
     # Overflow leaves inf or nan, which the checks below raise as divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         values = m0.values.astype(np.float32)
@@ -367,11 +401,11 @@ def client_update(m0: ModelParams, d: Dataset, cfg: SgdConfig) -> ModelParams:
         layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
         # Steps reuse these buffers rather than allocate temporaries; a short
         # last mini-batch uses their leading rows.
-        full = cfg.batch_size == "full" or cfg.batch_size >= d.n
-        rows = d.n if full else cfg.batch_size
-        outs = [np.empty((rows, width), np.float32) for width in arch.layer_dims[1:]]
-        backs = [np.empty((rows, h), np.float32) for h in arch.hidden_dims]
-        shift = np.empty(rows, np.float32)
+        scratch = StepBuffers(arch, rows) if scratch is None else scratch
+        outs, backs, shift = scratch.outs, scratch.backs, scratch.shift
+        if scratch.rows > rows:
+            outs, backs, shift = [o[:rows] for o in outs], [b[:rows] for b in backs], shift[:rows]
+        full = rows == d.n
         if full:
             batches = itertools.repeat((features, onehot))
         else:

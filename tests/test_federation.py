@@ -1,13 +1,15 @@
 """Unit tests for scoring, credibility, aggregation, and round mechanics."""
 
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from focusfl import harness, learner
 from focusfl.data import Dataset, synth_blobs
-from focusfl.errors import DegenerateCredibilityError, InvalidInputError, RoundError
+from focusfl.errors import DegenerateCredibilityError, InvalidInputError, RoundError, TrainingDivergenceError
 from focusfl.federation import (
     MODEL_MAGIC,
     ClientState,
@@ -44,12 +46,16 @@ def random_dataset(rng, arch, n):
 
 
 def tiny_federation(seed=0, k=3, arch=ArchSpec(3, (), 3), n_per_client=24, **server_kw):
-    """A small ready-to-run federation on random (not separable) data."""
+    """A small ready-to-run federation on random (not separable) data.
+
+    ``n_per_client`` is one shard size for every client, or a tuple of ``k``.
+    """
     rng = np.random.default_rng(seed)
     global0 = init_params(arch, seed=rng.integers(1 << 30))
     bench = random_dataset(rng, arch, 20)
+    sizes = n_per_client if isinstance(n_per_client, tuple) else (n_per_client,) * k
     clients = tuple(
-        ClientState(id=i, data=random_dataset(rng, arch, n_per_client), local_model=global0)
+        ClientState(id=i, data=random_dataset(rng, arch, sizes[i]), local_model=global0)
         for i in range(k)
     )
     server = init_server(global0, bench, clients, **server_kw)
@@ -285,6 +291,7 @@ class TestStateValidation:
             ("standardize_e", lambda server: replace(server, standardize_e="no")),
             ("client_ids", lambda server: CredReport(5, *[np.ones(1)] * 5)),
             ("participants", lambda server: focus_round(server, tiny_federation()[1], SgdConfig(0.1, 1), participants=5)),
+            ("lanes", lambda server: focus_round(server, tiny_federation()[1], SgdConfig(0.1, 1), lanes=0)),
             ("id", lambda server: replace(tiny_federation()[1][0], id="x")),
             ("id", lambda server: replace(tiny_federation()[1][0], id=None)),
             ("id", lambda server: replace(tiny_federation()[1][0], id=float("nan"))),
@@ -292,7 +299,7 @@ class TestStateValidation:
         ],
         ids=[
             "round-nan", "server-alpha-str", "credibilities-alpha-None",
-            "server-standardize_e-str", "cred-client_ids-int", "participants-int",
+            "server-standardize_e-str", "cred-client_ids-int", "participants-int", "lanes-zero",
             "client-id-str", "client-id-None", "client-id-nan", "client-id-negative",
         ],
     )
@@ -498,6 +505,97 @@ class TestLocalBaselineRound:
         assert np.array_equal(new_server.global_model.values, server.global_model.values)
         np.testing.assert_array_equal(new_server.weights, server.weights)
         assert new_server.round == 1
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread, as ``harness.run`` holds it, and the old count restored after."""
+    blas = harness._blas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+def round_bytes(server, clients, report):
+    """Every model, weight and score a round produced, as bytes."""
+    parts = [server.global_model.values.tobytes(), server.weights.tobytes(), repr(server.round).encode()]
+    parts += [c.local_model.values.tobytes() for c in clients]
+    if report is not None:
+        parts.append(repr(report.client_ids).encode())
+        parts += [getattr(report, name).tobytes() for name in ("ls", "ll", "e", "c", "w")]
+    return parts
+
+
+# Five uneven shards, so lanes hold different participants and a lane's
+# buffers are wider than some of its shards.  200 rows times 512 hidden
+# units is above harness.LANE_MIN_WORK; the narrow case is far below it.
+LANE_CASES = {
+    "wide": dict(k=5, arch=ArchSpec(8, (512,), 3), n_per_client=(200, 230, 210, 240, 200)),
+    "narrow": dict(k=5, arch=ArchSpec(3, (4,), 3), n_per_client=(24, 30, 20, 26, 24)),
+}
+
+
+class TestLanes:
+    @pytest.mark.parametrize("case", sorted(LANE_CASES))
+    def test_every_lane_count_gives_the_bytes_of_one(self, case, one_blas_thread, monkeypatch):
+        server, clients = tiny_federation(seed=15, **LANE_CASES[case])
+        # Round 3 with weights that differ, so focus aggregates with stored credibilities.
+        server = replace(server, round=2, weights=[0.1, 0.3, 0.2, 0.25, 0.15])
+        sgd = SgdConfig(0.3, 3, seed=0)
+        trained, real = [], learner.client_update
+
+        def counted(m, d, cfg, *rest):
+            trained.append(d.n)
+            return real(m, d, cfg, *rest)
+
+        # Lanes call through the module attribute, so a tracer sees every call.
+        monkeypatch.setattr(learner, "client_update", counted)
+        for round_fn in ROUND_FNS:
+            outputs = []
+            for lanes in (1, 2, 3):
+                trained.clear()
+                outputs.append(round_bytes(*round_fn(server, clients, sgd, None, lanes)))
+                assert sorted(trained) == sorted(c.n_k for c in clients), (round_fn.__name__, lanes)
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], round_fn.__name__
+
+    def test_the_lowest_failing_participant_raises_whatever_the_lanes(self, monkeypatch):
+        """Participants 1 and 2 diverge.  With two or three lanes they train on
+        different threads, and participant 2 fails first in time; the round
+        must still raise participant 1's failure, as one lane does."""
+        server, clients = tiny_federation(seed=16, k=5)
+        server = replace(server, round=4)
+        position = {id(c.data): c.id for c in clients}
+        real, state, two_failed = learner.client_update, {"lanes": 1}, threading.Event()
+
+        def diverge_on_one_and_two(m, d, cfg, *rest):
+            k = position[id(d)]
+            if k == 2:
+                two_failed.set()
+                raise TrainingDivergenceError("client 2 diverged", step=2)
+            if k == 1:
+                if state["lanes"] > 1:
+                    assert two_failed.wait(10)
+                raise TrainingDivergenceError("client 1 diverged", step=1)
+            return real(m, d, cfg, *rest)
+
+        monkeypatch.setattr(learner, "client_update", diverge_on_one_and_two)
+        threads = threading.active_count()
+        for lanes in (1, 2, 3):
+            state["lanes"] = lanes
+            two_failed.clear()
+            with pytest.raises(RoundError) as excinfo:
+                focus_round(server, clients, SgdConfig(0.3, 2), None, lanes)
+            exc = excinfo.value
+            assert (str(exc), exc.round_index) == ("round 5 failed: client 1 diverged", 5), lanes
+            assert isinstance(exc.__cause__, TrainingDivergenceError) and exc.__cause__.step == 1
+            assert threading.active_count() == threads, lanes
 
 
 class TestModelCheckpoint:

@@ -397,11 +397,11 @@ class TestRun:
         """Four clients train per round, so the sixth update falls in round 2."""
         real_update, calls = harness.learner.client_update, []
 
-        def diverge_on_sixth(m, d, sgd):
+        def diverge_on_sixth(m, d, sgd, *rest):
             calls.append(m)
             if len(calls) == 6:
                 raise TrainingDivergenceError("non-finite loss", step=1)
-            return real_update(m, d, sgd)
+            return real_update(m, d, sgd, *rest)
 
         monkeypatch.setattr(harness.learner, "client_update", diverge_on_sixth)
         with pytest.raises(RoundError, match="round 2 failed") as excinfo:

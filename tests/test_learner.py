@@ -12,6 +12,7 @@ from focusfl.learner import (
     ArchSpec,
     ModelParams,
     SgdConfig,
+    StepBuffers,
     accuracy,
     client_update,
     init_params,
@@ -211,6 +212,29 @@ class TestClientUpdate:
         assert np.array_equal(a.values, b.values)
         c = client_update(m0, d, SgdConfig(0.1, 11, 8, seed=100))
         assert not np.array_equal(a.values, c.values)
+
+    def test_shared_scratch_gives_the_bytes_of_fresh_buffers(self):
+        """One scratch wider than any step, reused by full-batch and
+        mini-batch calls on shards of several sizes, changes no bit."""
+        rng = np.random.default_rng(39)
+        arch = ArchSpec(4, (6, 5), 3)
+        m0 = init_params(arch, seed=4)
+        scratch = StepBuffers(arch, 40)
+        for n, batch_size in ((40, "full"), (13, "full"), (30, 8), (9, 8), (25, 40)):
+            d = random_batch(rng, arch, n)
+            cfg = SgdConfig(learning_rate=0.3, local_steps=6, batch_size=batch_size, seed=n)
+            shared = client_update(m0, d, cfg, scratch)
+            assert shared.values.tobytes() == client_update(m0, d, cfg).values.tobytes(), (n, batch_size)
+
+    def test_scratch_must_fit_the_steps(self):
+        rng = np.random.default_rng(40)
+        arch = ArchSpec(4, (6,), 3)
+        m0, d = init_params(arch, seed=4), random_batch(rng, arch, 12)
+        with pytest.raises(InvalidInputError, match="scratch holds 11 rows"):
+            client_update(m0, d, SgdConfig(0.3, 2), StepBuffers(arch, 11))
+        with pytest.raises(InvalidInputError, match="scratch holds 12 rows"):
+            client_update(m0, d, SgdConfig(0.3, 2), StepBuffers(ArchSpec(4, (7,), 3), 12))
+        client_update(m0, d, SgdConfig(0.3, 2, batch_size=11), StepBuffers(arch, 11))
 
     def test_input_model_is_unchanged(self):
         rng = np.random.default_rng(41)

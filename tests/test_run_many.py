@@ -5,6 +5,7 @@ the values a run produces must come back from ``pickle`` intact: frozen
 arrays frozen, and ``RoundError`` with its round index and partial metrics.
 """
 
+import concurrent.futures
 import multiprocessing
 import pickle
 import threading
@@ -36,6 +37,14 @@ DIVERGING = ExperimentConfig(**{**FAST, "learning_rate": 1e308, "hidden_dims": (
 # changes their rounding: computed at 1 and at 2 threads, this config's
 # final model and scores differ (NumPy 2.4.6, OpenBLAS 0.3.31).
 BLAS_SENSITIVE = ExperimentConfig(num_clients=2, samples_per_class=650, dim=32, hidden_dims=(256,), local_steps=2, rounds=1)
+# One round of each benchmark workload's shape.  Rows per step times the
+# widest layer: 834 x 256 (wide shards), 200 x 64 (the paper's default size)
+# and 16 x 64 (many clients in mini-batches).
+WIDE = ExperimentConfig(num_clients=8, samples_per_class=2500, dim=32, hidden_dims=(256,), local_steps=1, rounds=1)
+PAPER_SHAPED = ExperimentConfig(local_steps=1, rounds=1)
+MANY_SHAPED = ExperimentConfig(
+    num_clients=64, samples_per_class=1000, batch_size=16, local_steps=2, rounds=1, participation_fraction=0.5
+)
 
 
 def round_trip(value):
@@ -289,3 +298,60 @@ class TestRunMany:
         seed_sweep(GOOD, seeds=[3, 5])
         assert calls[0] == (focus, fedavg)
         assert [c.master_seed for c in calls[1]] == [3, 5]
+
+
+@pytest.fixture
+def lanes_seen(monkeypatch):
+    """Four usable cores, and the ``lanes`` of every focus round this process runs."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+    seen, real = [], harness.focus_round
+
+    def spy(server, clients, sgd, participants, lanes):
+        seen.append(lanes)
+        return real(server, clients, sgd, participants, lanes)
+
+    monkeypatch.setattr(harness, "focus_round", spy)
+    return seen
+
+
+class TestLanes:
+    def test_a_lone_wide_run_trains_on_a_lane_per_core_or_participant(self, lanes_seen):
+        if harness._blas_threads() is None:
+            pytest.skip("the bundled OpenBLAS thread count cannot be set")
+        run(WIDE)
+        run(ExperimentConfig(**{**WIDE.__dict__, "participation_fraction": 0.25}))
+        assert lanes_seen == [4, 2]
+
+    @pytest.mark.parametrize("cfg", [PAPER_SHAPED, MANY_SHAPED], ids=["paper-sweep", "many-clients"])
+    def test_short_steps_train_on_one_lane(self, lanes_seen, cfg):
+        run(cfg)
+        assert lanes_seen == [1]
+
+    def test_a_wide_run_without_the_blas_pin_trains_on_one_lane(self, lanes_seen, monkeypatch):
+        monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+        run(WIDE)
+        assert lanes_seen == [1]
+
+    def test_run_many_runs_train_on_one_lane(self, lanes_seen):
+        if harness._blas_threads() is None:
+            pytest.skip("without an adjustable OpenBLAS, run_many runs serially")
+        run_many([WIDE, WIDE])  # two processes; the second config runs in the pool worker
+        harness._run_in_worker(WIDE)
+        run(WIDE)  # a lone run again
+        assert lanes_seen == [1, 1, 4]
+
+    def test_lanes_leave_no_thread_behind_and_run_many_still_forks(self, two_workers, monkeypatch):
+        threads = threading.active_count()
+        server, clients, _ = harness.build_scenario(GOOD)
+        harness.focus_round(server, clients, GOOD.sgd_config(seed=0), None, 3)
+        assert threading.active_count() == threads
+        pools, real_pool = [], concurrent.futures.ProcessPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", counted_pool)
+        results = run_many([GOOD, GOOD])
+        assert len(pools) == 1
+        assert run_result_bytes(results[0]) == run_result_bytes(results[1])

@@ -291,13 +291,10 @@ def _check_round_args(
 def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig, lanes: int) -> List[ModelParams]:
     """``learner.client_update`` of every ``(start, shard)`` pair, on ``lanes`` lanes.
 
-    Lane ``i`` trains pairs ``i, i + lanes, ...`` in order; lane 0 is this
-    thread and the others run on a thread pool that lives for this call.
-    NumPy and OpenBLAS release the GIL inside their kernels, so lanes
-    overlap only where the steps are BLAS-bound.  Each pair's result does
-    not depend on its lane.  Every lane stops at its first failure, and
-    once all lanes are done the failure of the lowest pair is raised, as a
-    serial loop would raise it.
+    Lane ``i`` trains pairs ``i, i + lanes, ...`` in order: lane 0 on this
+    thread, the others on a thread pool that lives for this call.  Each lane
+    stops at its first failure; once all are done, the failure of the lowest
+    pair is raised, as a serial loop would raise it.
     """
     lanes = min(lanes, len(starts))
     arch = starts[0].arch

@@ -339,9 +339,10 @@ def fl_training_loss(
 
 # Rows per SGD step times the widest layer, from which a run trains its
 # participants on parallel lanes.  Below it the steps are short NumPy calls
-# that hand the GIL back and forth: a sweep of K=8, dim 32, 10 full-batch
-# steps on 2 threads gave 0.53-0.91x up to 50,560 and 1.18x at 50,624, then
-# 1.29-1.32x near 101k and 1.55x at 202k.
+# that hand the GIL back and forth.  Training 8 shards of 10 full-batch steps
+# (dim 32, OpenBLAS at one thread) on two lanes of a 2-core host ran
+# 0.50-0.56x as fast as one lane at 12,800, 1.0-1.4x at 65,536, 1.3-1.5x at
+# 102,400 and 1.6-2.1x at 213,504; the crossover lies below 50,560.
 LANE_MIN_WORK = 1 << 16
 
 # True while run_many's processes share the cores, so that each run trains

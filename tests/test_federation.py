@@ -1,5 +1,6 @@
 """Unit tests for scoring, credibility, aggregation, and round mechanics."""
 
+import sys
 import threading
 from dataclasses import replace
 from types import SimpleNamespace
@@ -557,13 +558,20 @@ class TestLanes:
 
         # Lanes call through the module attribute, so a tracer sees every call.
         monkeypatch.setattr(learner, "client_update", counted)
-        for round_fn in ROUND_FNS:
-            outputs = []
-            for lanes in (1, 2, 3):
-                trained.clear()
-                outputs.append(round_bytes(*round_fn(server, clients, sgd, None, lanes)))
-                assert sorted(trained) == sorted(c.n_k for c in clients), (round_fn.__name__, lanes)
-            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], round_fn.__name__
+        # Five lanes is more threads than cores, and a short switch interval
+        # interleaves them often, so a lost or misplaced result would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_fn in ROUND_FNS:
+                outputs = []
+                for lanes in (1, 2, 3, 5):
+                    trained.clear()
+                    outputs.append(round_bytes(*round_fn(server, clients, sgd, None, lanes)))
+                    assert sorted(trained) == sorted(c.n_k for c in clients), (round_fn.__name__, lanes)
+                assert all(out == outputs[0] for out in outputs[1:]), round_fn.__name__
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_the_lowest_failing_participant_raises_whatever_the_lanes(self, monkeypatch):
         """Participants 1 and 2 diverge.  With two or three lanes they train on

@@ -355,9 +355,9 @@ class StepBuffers:
 
     def __init__(self, arch: ArchSpec, rows: int):
         self.arch, self.rows = arch, as_int("rows", rows, 1)
-        self.outs = [np.empty((rows, width), np.float32) for width in arch.layer_dims[1:]]
-        self.backs = [np.empty((rows, h), np.float32) for h in arch.hidden_dims]
-        self.shift = np.empty(rows, np.float32)
+        self.outs = [np.empty((self.rows, width), np.float32) for width in arch.layer_dims[1:]]
+        self.backs = [np.empty((self.rows, h), np.float32) for h in arch.hidden_dims]
+        self.shift = np.empty(self.rows, np.float32)
 
 
 def client_update(

@@ -234,7 +234,9 @@ class TestClientUpdate:
             client_update(m0, d, SgdConfig(0.3, 2), StepBuffers(arch, 11))
         with pytest.raises(InvalidInputError, match="scratch holds 12 rows"):
             client_update(m0, d, SgdConfig(0.3, 2), StepBuffers(ArchSpec(4, (7,), 3), 12))
-        client_update(m0, d, SgdConfig(0.3, 2, batch_size=11), StepBuffers(arch, 11))
+        client_update(m0, d, SgdConfig(0.3, 2, batch_size=11), StepBuffers(arch, 11.0))
+        with pytest.raises(InvalidInputError, match="rows must be"):
+            StepBuffers(arch, 0)
 
     def test_input_model_is_unchanged(self):
         rng = np.random.default_rng(41)

@@ -9,6 +9,7 @@ import concurrent.futures
 import multiprocessing
 import pickle
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ DIVERGING = ExperimentConfig(**{**FAST, "learning_rate": 1e308, "hidden_dims": (
 # final model and scores differ (NumPy 2.4.6, OpenBLAS 0.3.31).
 BLAS_SENSITIVE = ExperimentConfig(num_clients=2, samples_per_class=650, dim=32, hidden_dims=(256,), local_steps=2, rounds=1)
 # One round of each benchmark workload's shape.  Rows per step times the
-# widest layer: 834 x 256 (wide shards), 200 x 64 (the paper's default size)
+# widest layer: 833 x 256 (wide shards), 200 x 64 (the paper's default size)
 # and 16 x 64 (many clients in mini-batches).
 WIDE = ExperimentConfig(num_clients=8, samples_per_class=2500, dim=32, hidden_dims=(256,), local_steps=1, rounds=1)
 PAPER_SHAPED = ExperimentConfig(local_steps=1, rounds=1)
@@ -319,7 +320,7 @@ class TestLanes:
         if harness._blas_threads() is None:
             pytest.skip("the bundled OpenBLAS thread count cannot be set")
         run(WIDE)
-        run(ExperimentConfig(**{**WIDE.__dict__, "participation_fraction": 0.25}))
+        run(replace(WIDE, participation_fraction=0.25))
         assert lanes_seen == [4, 2]
 
     @pytest.mark.parametrize("cfg", [PAPER_SHAPED, MANY_SHAPED], ids=["paper-sweep", "many-clients"])

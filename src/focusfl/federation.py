@@ -288,13 +288,49 @@ def _check_round_args(
     return part
 
 
-def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig, lanes: int) -> List[ModelParams]:
-    """``learner.client_update`` of every ``(start, shard)`` pair, on ``lanes`` lanes.
+def fan_out(work, count: int, n: int, pool=None) -> list:
+    """``[work(i, j) for j in range(count)]``, where ``i = j % n`` is item ``j``'s lane.
 
-    Lane ``i`` trains pairs ``i, i + lanes, ...`` in order: lane 0 on this
-    thread, the others on a thread pool that lives for this call.  Each lane
-    stops at its first failure; once all are done, the failure of the lowest
-    pair is raised, as a serial loop would raise it.
+    Lane ``i`` runs items ``i, i + n, ...`` in order: lane 0 on this thread,
+    the others on ``pool``, an executor of ``n - 1`` workers that this call
+    shuts down (None when ``n`` is 1).  A lane stops at its first failure.
+    Once every lane is done, the outputs come back in item order, or the
+    lowest failing item's exception is raised from its own cause, as a
+    serial loop would raise it.  The cause travels apart because a process
+    pool pickles an exception without it.
+    """
+    if pool is None:
+        lanes = [_lane(work, count, n, 0)]
+    else:
+        with pool:
+            futures = [pool.submit(_lane, work, count, n, i) for i in range(1, n)]
+            lanes = [_lane(work, count, n, 0)] + [future.result() for future in futures]
+    failures = [failure for _, failure in lanes if failure is not None]
+    if failures:
+        _, exc, cause = min(failures, key=lambda failure: failure[0])
+        raise exc from cause
+    return [lanes[j % n][0][j // n] for j in range(count)]
+
+
+def _lane(work, count: int, n: int, i: int):
+    """Lane ``i`` of :func:`fan_out`: its outputs, and ``(item, exception, cause)`` of its failure or None.
+
+    It lives at module level, so that a process pool can pickle it by name.
+    """
+    outputs = []
+    for j in range(i, count, n):
+        try:
+            outputs.append(work(i, j))
+        except Exception as exc:  # raised by fan_out, after every lane is done
+            return outputs, (j, exc, exc.__cause__)
+    return outputs, None
+
+
+def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig, lanes: int) -> List[ModelParams]:
+    """``learner.client_update`` of every ``(start, shard)`` pair, on ``lanes`` lanes of :func:`fan_out`.
+
+    The lanes other than this thread run on a thread pool that lives for
+    this call.
     """
     lanes = min(lanes, len(starts))
     arch = starts[0].arch
@@ -303,31 +339,17 @@ def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdCon
     scratch = [
         learner.StepBuffers(arch, max(learner.step_rows(sgd, d.n) for d in shards[i::lanes])) for i in range(lanes)
     ]
-    models: List[Optional[ModelParams]] = [None] * len(starts)
-    failures: List[Optional[Tuple[int, Exception]]] = [None] * lanes
 
-    def lane(i: int) -> None:
-        for j in range(i, len(starts), lanes):
-            try:
-                models[j] = learner.client_update(starts[j], shards[j], sgd, scratch[i])
-            except Exception as exc:  # raised below, after every lane is done
-                failures[i] = (j, exc)
-                return
+    def work(i: int, j: int) -> ModelParams:
+        # Through the module attribute, so that a wrapper around client_update sees every call.
+        return learner.client_update(starts[j], shards[j], sgd, scratch[i])
 
-    if lanes == 1:
-        lane(0)
-    else:
+    pool = None
+    if lanes > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(lanes - 1) as pool:
-            futures = [pool.submit(lane, i) for i in range(1, lanes)]
-            lane(0)
-        for future in futures:
-            future.result()
-    failed = [f for f in failures if f is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return models
+        pool = ThreadPoolExecutor(lanes - 1)
+    return fan_out(work, len(starts), lanes, pool)
 
 
 def _round(

@@ -9,7 +9,6 @@ and batch schedules.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import ctypes
 import functools
@@ -350,15 +349,6 @@ LANE_MIN_WORK = 1 << 16
 _SHARES_CORES = contextvars.ContextVar("shares_cores", default=False)
 
 
-@contextlib.contextmanager
-def _sharing_cores():
-    token = _SHARES_CORES.set(True)
-    try:
-        yield
-    finally:
-        _SHARES_CORES.reset(token)
-
-
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a full experiment and return its metrics and final model.
 
@@ -482,36 +472,31 @@ def _blas_threads():
     return None
 
 
-class _WorkerFailure(Exception):
-    """Carries ``(exception, its __cause__)`` out of a pool worker.
-
-    The pool pickles a raised exception without its cause and sets the
-    worker's traceback text as the cause instead, so the cause travels apart.
-    """
-
-
-def _run_in_worker(cfg: ExperimentConfig) -> RunResult:
-    # The pool pickles its callable by name, and ``run`` may have been wrapped.
+def _run_sharing_cores(cfgs: Sequence[ExperimentConfig], lane: int, j: int) -> RunResult:
+    """``run(cfgs[j])`` as one of :func:`run_many`'s parallel runs, which train on one lane each."""
+    token = _SHARES_CORES.set(True)
     try:
-        with _sharing_cores():
-            return run(cfg)
-    except Exception as exc:
-        raise _WorkerFailure(exc, exc.__cause__) from None
+        # Looked up per call: ``run`` may have been wrapped.
+        return run(cfgs[j])
+    finally:
+        _SHARES_CORES.reset(token)
 
 
 def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
     """Run independent configs, several at a time where the host allows.
 
-    With ``n`` usable cores (at most one per config), this process runs
-    ``cfgs[0::n]`` itself and a pool of ``n - 1`` forked processes runs the
-    rest.  Every :func:`run` holds OpenBLAS at one thread, and these runs
-    train on one lane each, so the processes do not oversubscribe the
-    cores.  The configs run one after another in this process instead, as
-    lone runs, when there is one core, no CPU affinity mask (off Linux), no
-    OpenBLAS thread count to set, or another live Python thread, which
-    would make forking unsafe.  Either way the results come back in input
-    order, and a failure surfaces as in a serial loop: the first failing
-    config in input order raises its own exception.
+    With ``n`` usable cores (at most one per config), the configs run on
+    ``n`` lanes of :func:`federation.fan_out`: this process runs
+    ``cfgs[0::n]`` itself, and forked process ``i``, for ``i`` from 1 to
+    ``n - 1``, runs ``cfgs[i::n]``.  Every :func:`run` holds OpenBLAS at
+    one thread, and these runs train on one lane each, so the processes do
+    not oversubscribe the cores.  The configs run one after another in this
+    process instead, as lone runs, when there is one core, no CPU affinity
+    mask (off Linux), no OpenBLAS thread count to set, or another live
+    Python thread, which would make forking unsafe.  Either way the results
+    come back in input order, and a failure surfaces as in a serial loop:
+    once every lane is done, the first failing config in input order raises
+    its own exception.
     """
     cfgs = tuple(cfgs)
     n = _workers(len(cfgs), _usable_cores())
@@ -519,30 +504,10 @@ def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
         return tuple(run(cfg) for cfg in cfgs)
 
     import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        jobs = {i: pool.submit(_run_in_worker, cfg) for i, cfg in enumerate(cfgs) if i % n}
-        try:
-            with _sharing_cores():
-                for i in range(0, len(cfgs), n):
-                    jobs[i] = Future()
-                    try:
-                        jobs[i].set_result(run(cfgs[i]))
-                    except Exception as exc:  # raised below, after every earlier config
-                        jobs[i].set_exception(exc)
-                        break
-            results = []
-            for i in range(len(cfgs)):
-                try:
-                    results.append(jobs[i].result())
-                except _WorkerFailure as failure:
-                    exc, cause = failure.args
-                    raise exc from cause
-            return tuple(results)
-        finally:
-            for job in jobs.values():
-                job.cancel()
+    pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
+    return tuple(federation.fan_out(functools.partial(_run_sharing_cores, cfgs), len(cfgs), n, pool))
 
 
 # ---------------------------------------------------------------------------

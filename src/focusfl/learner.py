@@ -399,12 +399,9 @@ def client_update(
         onehot = _one_hot(d.labels, arch.num_classes, np.float32)
         grad = np.empty_like(values)
         layers, grad_layers = _layer_views(arch, values), _layer_views(arch, grad)
-        # Steps reuse these buffers rather than allocate temporaries; a short
-        # last mini-batch uses their leading rows.
+        # Steps reuse these buffers rather than allocate temporaries; a step
+        # of fewer rows than they hold uses their leading rows.
         scratch = StepBuffers(arch, rows) if scratch is None else scratch
-        outs, backs, shift = scratch.outs, scratch.backs, scratch.shift
-        if scratch.rows > rows:
-            outs, backs, shift = [o[:rows] for o in outs], [b[:rows] for b in backs], shift[:rows]
         full = rows == d.n
         if full:
             batches = itertools.repeat((features, onehot))
@@ -413,8 +410,10 @@ def client_update(
         for step in range(1, cfg.local_steps + 1):
             x, t = next(batches)
             n = x.shape[0]
-            step_outs, step_backs = ([o[:n] for o in outs], [b[:n] for b in backs]) if n < rows else (outs, backs)
-            _forward_into(layers, x, step_outs, shift[:n])
+            step_outs, step_backs = scratch.outs, scratch.backs
+            if n < scratch.rows:
+                step_outs, step_backs = [o[:n] for o in step_outs], [b[:n] for b in step_backs]
+            _forward_into(layers, x, step_outs, scratch.shift[:n])
             _backward_into(layers, grad_layers, x, t, step_outs, step_backs, "mean")
             # Every row adds into the last output-bias gradient, and a softmax
             # row is either all finite or all nan, so this entry is finite

@@ -233,6 +233,28 @@ class TestRunMany:
             run_many([missing, DIVERGING])
         assert isinstance(excinfo.value.__cause__, FileNotFoundError)
 
+    def test_three_processes_split_the_configs_and_raise_the_first_failure(self, monkeypatch, tmp_path):
+        if harness._blas_threads() is None:
+            pytest.skip("without an adjustable OpenBLAS, run_many runs serially")
+        monkeypatch.setattr(harness, "_workers", lambda jobs, cpus: 3)
+        cfgs = [ExperimentConfig(**{**FAST, "rounds": 1, "master_seed": s}) for s in range(7)]
+        results = run_many(cfgs)
+        assert multiprocessing.active_children() == []
+        assert [r.config for r in results] == cfgs
+        assert [run_result_bytes(r) for r in results] == [run_result_bytes(run(c)) for c in cfgs]
+        with pytest.raises(RoundError) as serial:
+            run(DIVERGING)
+        missing = ExperimentConfig(**FAST, dataset_file=str(tmp_path / "missing.csv"))
+        # Index 4 diverges on lane 1; index 5, on lane 2, fails first in time,
+        # since its dataset file is missing, but comes later in input order.
+        with pytest.raises(RoundError) as parallel:
+            run_many([GOOD, GOOD, GOOD, GOOD, DIVERGING, missing, GOOD])
+        assert multiprocessing.active_children() == []
+        assert str(parallel.value) == str(serial.value)
+        assert parallel.value.round_index == serial.value.round_index
+        assert type(parallel.value.__cause__) is TrainingDivergenceError
+        assert parallel.value.__cause__.step == serial.value.__cause__.step
+
     def test_blas_threads_pinned_to_one_and_restored_after_return(self, fake_blas):
         # run holds the pin itself, so a lone run and run_many's runs compute alike.
         blas, seen = fake_blas
@@ -337,7 +359,7 @@ class TestLanes:
         if harness._blas_threads() is None:
             pytest.skip("without an adjustable OpenBLAS, run_many runs serially")
         run_many([WIDE, WIDE])  # two processes; the second config runs in the pool worker
-        harness._run_in_worker(WIDE)
+        harness._run_sharing_cores((WIDE,), 1, 0)
         run(WIDE)  # a lone run again
         assert lanes_seen == [1, 1, 4]
 

@@ -23,6 +23,7 @@ rounds log nothing, and ``harness.RunResult.messages`` derives the log.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -43,7 +44,11 @@ AGGREGATORS = ("focus", "fedavg", "local_baseline")
 
 @dataclass(frozen=True)
 class ClientState:
-    """One participant: an id, its private shard, and its latest local model."""
+    """One participant: an id, its private shard, and its latest local model.
+
+    ``loss`` is scored on first read and kept: the state and its arrays are
+    frozen, so it cannot go stale.
+    """
 
     id: int
     data: Dataset
@@ -57,6 +62,11 @@ class ClientState:
     def n_k(self) -> int:
         """Sample count of this client's shard."""
         return self.data.n
+
+    @functools.cached_property
+    def loss(self) -> float:
+        """Mean cross-entropy of this client's local model on its own shard."""
+        return model_test(self.local_model, self.data, "mean")
 
 
 @dataclass(frozen=True)

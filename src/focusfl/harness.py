@@ -174,7 +174,10 @@ def _parse_flip_map(raw: str) -> Optional[Dict[int, int]]:
         src, sep, dst = pair.partition(":")
         if not sep:
             raise ValueError(f"expected 'src:dst' pairs, got {pair!r}")
-        mapping[int(src.strip())] = int(dst.strip())
+        key = int(src.strip())
+        if key in mapping:
+            raise ValueError(f"source class {key} is mapped twice")
+        mapping[key] = int(dst.strip())
     return mapping
 
 
@@ -316,24 +319,10 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     return server, clients, test
 
 
-def fl_training_loss(
-    clients: Sequence[ClientState], scored: Optional[Dict[int, Tuple[ModelParams, float]]] = None
-) -> float:
-    """Mean over clients of each local model's mean cross-entropy on its shard.
-
-    ``scored`` maps a client id to the last ``(model, loss)`` pair scored for
-    it and is updated in place.  A client whose ``local_model`` is that very
-    object is not scored again; its shard must be the one scored before.
-    """
-    scored = {} if scored is None else scored
-    losses = []
-    for c in clients:
-        model, loss = scored.get(c.id, (None, 0.0))
-        if model is not c.local_model:
-            loss = federation.model_test(c.local_model, c.data, "mean")
-            scored[c.id] = (c.local_model, loss)
-        losses.append(loss)
-    return float(np.mean(losses))
+def fl_training_loss(clients: Sequence[ClientState]) -> float:
+    """Mean over clients of each local model's mean cross-entropy on its shard
+    (:attr:`ClientState.loss`)."""
+    return float(np.mean([c.loss for c in clients]))
 
 
 # Rows per SGD step times the widest layer, from which a run trains its
@@ -375,6 +364,8 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run(cfg: ExperimentConfig, cores: int) -> RunResult:
+    """:func:`run`'s body.  A round's ``fl_loss`` covers every client; one that
+    sat the round out keeps its state, so its loss is not scored again."""
     seeds = derive_seeds(cfg.master_seed)
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
@@ -387,8 +378,6 @@ def _run(cfg: ExperimentConfig, cores: int) -> RunResult:
     lanes = _workers(size, cores) if step_work >= LANE_MIN_WORK else 1
     prng = np.random.default_rng(seeds["participation"])
     metrics: List[RoundMetrics] = []
-    # Clients that sat a round out keep their model, so their loss is reused.
-    scored: Dict[int, Tuple[ModelParams, float]] = {}
     start = time.perf_counter()
     try:
         for t in range(1, cfg.rounds + 1):
@@ -396,7 +385,7 @@ def _run(cfg: ExperimentConfig, cores: int) -> RunResult:
             server, clients, cred = round_fn(server, clients, sgd, participants, lanes)
             models = [server.global_model] if federated else [c.local_model for c in clients]
             acc = float(np.mean([learner.accuracy(m, test) for m in models]))
-            metrics.append(RoundMetrics(t, acc, fl_training_loss(clients, scored), cred, participants))
+            metrics.append(RoundMetrics(t, acc, fl_training_loss(clients), cred, participants))
     except RoundError as exc:
         exc.partial_metrics = tuple(metrics)
         raise

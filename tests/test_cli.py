@@ -107,6 +107,15 @@ class TestConfigParsing:
         assert spec.target_clients == (0, 2)
         assert spec.flip_map == {0: 1, 1: 0}
 
+    def test_flip_map_rejects_a_repeated_source(self):
+        with pytest.raises(ConfigurationError, match=":4: .*source class 0 is mapped twice"):
+            parse_config_text(
+                "noise_kind = pairwise_flip\n"
+                "noise_fraction = 1.0\n"
+                "noise_clients = 0\n"
+                "noise_flip_map = 0:2,0:1,1:0\n"
+            )
+
     def test_empty_flip_map_means_none(self):
         cfg = parse_config_text(
             "noise_kind = randomize\n"

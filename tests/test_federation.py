@@ -272,6 +272,33 @@ class TestStateValidation:
         d = Dataset(np.zeros((7, 2)), np.zeros(7, dtype=int), 2)
         assert ClientState(id=1, data=d, local_model=m).n_k == 7
 
+    def test_loss_is_the_model_test_of_its_own_shard(self):
+        _, clients = tiny_federation(n_per_client=(24, 31, 17))
+        for c in clients:
+            assert c.loss == model_test(c.local_model, c.data, "mean")
+
+    def test_loss_is_scored_once_per_state(self, monkeypatch):
+        from focusfl import federation
+
+        calls = []
+        real_model_test = federation.model_test
+
+        def counting_model_test(m, d, reduction="mean"):
+            calls.append(d)
+            return real_model_test(m, d, reduction)
+
+        monkeypatch.setattr(federation, "model_test", counting_model_test)
+        _, (c, other, _) = tiny_federation()
+        first = c.loss
+        assert c.loss == first
+        assert len(calls) == 1 and calls[0] is c.data
+        # The same model object on another shard is a new state: scored again.
+        moved = replace(c, data=other.data)
+        assert moved.local_model is c.local_model
+        assert moved.loss == real_model_test(c.local_model, other.data, "mean")
+        assert moved.loss != first
+        assert len(calls) == 2
+
     def test_server_state_rejects_bad_weights(self):
         server, _ = tiny_federation()
         with pytest.raises(InvalidInputError):

@@ -290,6 +290,23 @@ class TestCmdReport:
         # every series has one row per round
         assert len(long_csv) - 1 == 6 * 3
 
+    def test_partial_participation_stdout_is_pinned(self, tmp_path, capsys):
+        """Clients that sat a round out show ``-`` in that round's weight cells."""
+        text = FAST_CONFIG.replace("rounds = 3", "rounds = 4") + "participation_fraction = 0.5\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, text=text), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (run_dir,) = out.iterdir()
+        assert main(["report", str(run_dir)]) == 0
+        assert capsys.readouterr().out.replace(str(run_dir), "<run>") == (
+            "round    accuracy       fl_loss   w_client0   w_client1   w_client2   w_client3\n"
+            "    1    0.416667      1.344957           -    0.258108    0.241892           -\n"
+            "    2    0.616667      0.902285    0.246255           -           -    0.253745\n"
+            "    3    0.733333      0.706557           -    0.269663    0.230337           -\n"
+            "    4    0.716667      0.628637    0.232686    0.283232           -           -\n"
+            "wrote <run>/report_long.csv\n"
+        )
+
     def test_report_without_weights_for_fedavg(self, tmp_path, capsys):
         config = write_config(tmp_path, text=FAST_CONFIG.replace("aggregator = focus", "aggregator = fedavg"))
         out = tmp_path / "out"

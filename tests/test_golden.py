@@ -4,7 +4,8 @@ A refactor or speed-up must leave every digest here unchanged.  A change
 that alters numerics on purpose updates the pins and says why.
 
 ``report_long.csv`` is what ``focusfl report`` writes from a run dir; it is
-pinned for the usc-noisy pair, one run with client weights and one without.
+pinned for the usc-noisy pair and the three mixed runs.  ``mixed/focus``
+covers clients that sat rounds out; the others have no client weights.
 The message log is pinned too, as the sha256 of ``repr(result.messages)``:
 ``mixed/fedavg`` covers partial-participation FedAvg and
 ``mixed/local_baseline`` the empty log.
@@ -77,16 +78,19 @@ PINS = {
         "metrics.csv": "9b92546c25000fa3064ff78bc2698a860b2c2f94bcead3a76c956ab7758e5475",
         "credibility.csv": "16d615873321c979b27043818d0167b306a44263b9071b682f49a4d413d87fb2",
         "model.bin": "ac87fceb301b9a08321aa9f891d43a5704e2a833cdf476cc0a8fd236262b0907",
+        "report_long.csv": "74e530cee189502758594449a5e6975a3c9d80bc31a60d9163c0f17008606d62",
     },
     "mixed/fedavg": {
         "metrics.csv": "d1376fec14ec103d63594e7287e5fc1d8ea05a3599ea74149d2c112210a79168",
         "credibility.csv": None,
         "model.bin": "be30f85e2252a8ae32253dc10938cd97710bf28b1deac8fe0c3d241120b13f0b",
+        "report_long.csv": "2b1c7f832ad3baa72b7763709aef90b4b4a7b98fc9d8698f445a60f3ee4332f9",
     },
     "mixed/local_baseline": {
         "metrics.csv": "4515bf53906805a817d17517cdd93a91cfb4a7ea82a299e4a52dc7ae66c5fd10",
         "credibility.csv": None,
         "model.bin": None,
+        "report_long.csv": "dca7f6b294ff3d3cf98dd1c1a42e769b98d2e3c16161ed872eba492e22d8bdd8",
     },
 }
 

@@ -164,41 +164,23 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
-    if not (run_dir / "result.json").exists():
-        raise ConfigurationError(f"no result.json found in {run_dir}")
-    metrics_path = run_dir / "metrics.csv"
-    if not metrics_path.exists():
-        raise ConfigurationError(f"no metrics.csv found in {run_dir}")
-    metrics = harness.load_metrics_csv(metrics_path)
-
-    weights_by_round: Dict[int, Dict[int, float]] = {}
-    clients: List[int] = []
+    for name in ("result.json", "metrics.csv"):
+        if not (run_dir / name).exists():
+            raise ConfigurationError(f"no {name} found in {run_dir}")
+    metrics = harness.load_metrics_csv(run_dir / "metrics.csv")
     cred_path = run_dir / "credibility.csv"
-    if cred_path.exists():
-        for row in harness.load_credibility_csv(cred_path):
-            weights_by_round.setdefault(row[0], {})[row[1]] = row[6]
-            if row[1] not in clients:
-                clients.append(row[1])
-        clients.sort()
+    rows = harness.load_credibility_csv(cred_path) if cred_path.exists() else []
+    weights = {(row[0], row[1]): row[6] for row in rows}  # (round, client) -> w
+    clients = sorted({k for _, k in weights})
 
-    header = f"{'round':>5}  {'accuracy':>10}  {'fl_loss':>12}"
-    for k in clients:
-        header += f"  {f'w_client{k}':>10}"
-    print(header)
+    print(f"{'round':>5}  {'accuracy':>10}  {'fl_loss':>12}" + "".join(f"  {f'w_client{k}':>10}" for k in clients))
     long_rows: List[Tuple[str, int, float]] = []
     for rnd, acc, loss in metrics:
-        line = f"{rnd:>5}  {acc:>10.6f}  {loss:>12.6f}"
-        for k in clients:
-            w = weights_by_round.get(rnd, {}).get(k)
-            line += f"  {w:>10.6f}" if w is not None else f"  {'-':>10}"
-        print(line)
-        long_rows.append(("accuracy", rnd, acc))
-        long_rows.append(("fl_loss", rnd, loss))
+        cells = (f"{weights[rnd, k]:>10.6f}" if (rnd, k) in weights else f"{'-':>10}" for k in clients)
+        print(f"{rnd:>5}  {acc:>10.6f}  {loss:>12.6f}" + "".join(f"  {cell}" for cell in cells))
+        long_rows += [("accuracy", rnd, acc), ("fl_loss", rnd, loss)]
     for k in clients:
-        for rnd, _, _ in metrics:
-            w = weights_by_round.get(rnd, {}).get(k)
-            if w is not None:
-                long_rows.append((f"weight_client_{k}", rnd, w))
+        long_rows += [(f"weight_client_{k}", rnd, weights[rnd, k]) for rnd, _, _ in metrics if (rnd, k) in weights]
     long_path = run_dir / LONG_CSV_NAME
     write_csv(long_path, "series,round,value", long_rows)
     print(f"wrote {long_path}")

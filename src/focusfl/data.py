@@ -33,6 +33,8 @@ class Dataset:
 
     def __post_init__(self):
         features = frozen_f64(self.features, "features", 2)
+        if features.shape[1] == 0:  # no model can take zero inputs
+            raise InvalidInputError(f"features must have at least one column, got shape {features.shape}")
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise InvalidInputError(
@@ -244,7 +246,9 @@ class NoiseSpec:
         if self.kind == "pairwise_flip":
             if not self.flip_map:
                 raise InvalidInputError("pairwise_flip requires a flip_map")
-            fmap = as_items("flip_map", self.flip_map, as_int, mapping=True)
+            if not isinstance(self.flip_map, Mapping):
+                raise InvalidInputError(f"flip_map must be a mapping, got {self.flip_map!r}")
+            fmap = {as_int("flip_map", k): as_int("flip_map", v) for k, v in self.flip_map.items()}
             if set(fmap.values()) != set(fmap.keys()):
                 raise InvalidInputError(
                     f"flip_map must permute the mapped classes, got {fmap}"

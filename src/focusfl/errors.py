@@ -107,25 +107,21 @@ def as_str(name: str, value) -> str:
     raise InvalidInputError(f"{name} must be a string, got {value!r}")
 
 
-def as_items(name: str, value, item, mapping: bool = False):
-    """``value``'s entries, each stored as ``item(name, entry)``.
+def as_items(name: str, value, item) -> tuple:
+    """``value``'s entries as a tuple, each stored as ``item(name, entry)``.
 
-    A sequence field takes any iterable but a string, bytes or a mapping,
-    whose iteration would give characters or keys, and stores a tuple.  A
-    ``mapping`` field takes only a mapping, and stores a dict with ``item``
-    applied to each key and each value.  Anything else, such as a bare
-    number, is rejected naming the field.
+    Any iterable but a string, bytes or a mapping is accepted; those would
+    iterate as characters or keys.  Anything else, such as a bare number,
+    is rejected naming the field.
     """
-    if mapping and isinstance(value, Mapping):
-        return {item(name, k): item(name, v) for k, v in value.items()}
-    if not mapping and not isinstance(value, (str, bytes, Mapping)):
+    if not isinstance(value, (str, bytes, Mapping)):
         try:
             entries = iter(value)
         except TypeError:  # a bare number, or a 0-d array
             pass
         else:
             return tuple([item(name, entry) for entry in entries])
-    raise InvalidInputError(f"{name} must be a {'mapping' if mapping else 'sequence'}, got {value!r}")
+    raise InvalidInputError(f"{name} must be a sequence, got {value!r}")
 
 
 def frozen_f64(values, name: str, ndim: int) -> np.ndarray:

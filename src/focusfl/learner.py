@@ -242,7 +242,10 @@ def predict_proba(m: ModelParams, x) -> np.ndarray:
     ``num_classes``; a 2-D batch yields one row of probabilities per input
     row.  Rows are non-negative and sum to 1 up to rounding.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, or a ragged nesting
+        raise InvalidInputError(f"feature batch must hold real numbers: {exc}") from None
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its config file format."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from focusfl import federation, harness
 from focusfl.cli import _scenario_runs, main, parse_config_text
-from focusfl.data import save_csv, synth_blobs
+from focusfl.data import DATASET_MAGIC, save_csv, synth_blobs
 from focusfl.errors import ConfigurationError
 
 FAST_CONFIG = """\
@@ -178,6 +179,20 @@ class TestCmdRun:
         out = tmp_path / "o"
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert f"cannot read dataset_file {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["csv", "binary"])
+    def test_dataset_file_with_no_feature_column_exits_two(self, tmp_path, capsys, kind):
+        data = tmp_path / f"labels-only.{kind}"
+        if kind == "csv":
+            data.write_text("label\n0\n1\n0\n1\n")
+        else:  # FOCUSDS1 header: n=4, dim=0, 2 classes; then four u32 labels
+            data.write_bytes(DATASET_MAGIC + struct.pack("<III4I", 4, 0, 2, 0, 1, 0, 1))
+        config = write_config(tmp_path, text=FAST_CONFIG + f"dataset_file = {data}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read dataset_file {data}" in err and "at least one column" in err
         assert not out.exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):

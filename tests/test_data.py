@@ -37,6 +37,8 @@ class TestDataset:
             Dataset(np.full((2, 2), np.inf), np.zeros(2, dtype=int), 2)
         with pytest.raises(InvalidInputError, match="labels must lie in"):  # beyond int64, checked before the cast
             Dataset(np.zeros((2, 2)), [1e300, 0.0], 2)
+        with pytest.raises(InvalidInputError, match="features must have at least one column"):
+            Dataset(np.zeros((3, 0)), np.zeros(3, dtype=int), 2)
 
     def test_arrays_are_frozen_copies(self):
         features = np.zeros((3, 2))

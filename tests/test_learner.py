@@ -131,6 +131,8 @@ class TestPredictProba:
         m = init_params(ArchSpec(4, (), 3), seed=0)
         with pytest.raises(InvalidInputError):
             predict_proba(m, np.zeros(5))
+        with pytest.raises(InvalidInputError, match="feature batch must hold real numbers"):
+            predict_proba(m, "x")
 
 
 class TestLossAndGrad:

@@ -1,4 +1,10 @@
-"""Desk-scale federated learning simulator with credibility-weighted aggregation."""
+"""Desk-scale federated learning simulator with credibility-weighted aggregation.
+
+What this package exports follows one rule: a name is public if the CLI,
+``perfbench/``, ``scripts/`` or the README uses it, or if a public callable
+takes it, returns it or raises it.  Every other name stays in its own module,
+and README "Library" names every public one.
+"""
 
 from .data import (
     Dataset,
@@ -30,10 +36,8 @@ from .federation import (
     credibilities,
     fedavg_round,
     focus_round,
-    init_server,
     load_model,
     model_test,
-    save_model,
 )
 from .harness import (
     ComparisonReport,
@@ -44,7 +48,6 @@ from .harness import (
     compare,
     run,
     run_many,
-    seed_sweep,
 )
 from .learner import (
     ArchSpec,
@@ -52,7 +55,6 @@ from .learner import (
     SgdConfig,
     accuracy,
     client_update,
-    init_params,
     loss_and_grad,
     predict_proba,
 )
@@ -89,8 +91,6 @@ __all__ = [
     "credibilities",
     "fedavg_round",
     "focus_round",
-    "init_params",
-    "init_server",
     "inject_noise",
     "load_binary",
     "load_csv",
@@ -103,7 +103,5 @@ __all__ = [
     "run_many",
     "save_binary",
     "save_csv",
-    "save_model",
-    "seed_sweep",
     "synth_blobs",
 ]

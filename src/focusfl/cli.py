@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, get_type_hints
+from typing import Dict, List, Mapping, Optional, Tuple, Union, get_type_hints
 
 from . import harness
 from .data import NoiseSpec, write_csv
@@ -26,8 +26,49 @@ _SCENARIOS = ("usc-noisy", "usc-normal", "multi-tier")
 
 # --- config file parsing ----------------------------------------------------
 
-# Config text parser for each field type.
-_PARSE = {tp: parse for tp, (_, parse) in harness._FIELD_RULES.items()}
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_items(kind, empty=()):
+    """Parser for comma-separated ``kind`` items; an empty text gives ``empty``."""
+    return lambda raw: tuple(kind(cell.strip()) for cell in raw.split(",")) if raw else empty
+
+
+def _parse_flip_map(raw: str) -> Optional[Dict[int, int]]:
+    if not raw:
+        return None
+    mapping: Dict[int, int] = {}
+    for pair in raw.split(","):
+        src, sep, dst = pair.partition(":")
+        if not sep:
+            raise ValueError(f"expected 'src:dst' pairs, got {pair!r}")
+        key = int(src.strip())
+        if key in mapping:
+            raise ValueError(f"source class {key} is mapped twice")
+        mapping[key] = int(dst.strip())
+    return mapping
+
+
+# How config text reads a value of each field type, raising ValueError; an
+# empty text is None for an Optional type.  Noise is read from several keys
+# at once (below), so its tuple type has no entry.
+_PARSE = {
+    int: int,
+    Union[int, str]: lambda raw: raw if raw == "full" else int(raw),
+    float: float,
+    bool: _parse_bool,
+    str: str,
+    Optional[str]: lambda raw: raw or None,
+    Tuple[int, ...]: _parse_items(int),
+    Optional[Tuple[float, ...]]: _parse_items(float, None),
+    Optional[Mapping[int, int]]: _parse_flip_map,
+}
 
 # The noise_* keys together build one NoiseSpec: ``noise_<field>`` for each
 # of its fields, with ``noise_clients`` for ``target_clients``.  Every other

@@ -19,6 +19,7 @@ from .errors import ConfigurationError, InvalidInputError, as_int, as_items, as_
 
 # Magic prefix of the binary dataset container (version 1).
 DATASET_MAGIC = b"FOCUSDS1"
+MAX_CLASSES = 2**32 - 1  # the container stores the class count and each label as a u32
 
 NOISE_KINDS = ("randomize", "pairwise_flip")
 
@@ -44,6 +45,8 @@ class Dataset:
             if labels.dtype.kind not in "bf" or not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
                 raise InvalidInputError("labels must be integers")
         num_classes = as_int("num_classes", self.num_classes, 2)
+        if num_classes > MAX_CLASSES:
+            raise InvalidInputError(f"num_classes must be at most {MAX_CLASSES}, got {num_classes}")
         # Checked before the cast, which would wrap or warn on labels beyond int64.
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInputError(
@@ -354,8 +357,8 @@ def save_csv(d: Dataset, path: str) -> None:
 def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
-    ``num_classes`` defaults to ``max(label) + 1`` (but at least 2) when not
-    given, since the CSV carries no class count of its own.
+    ``num_classes`` defaults to ``max(label) + 1``, clamped to [2, ``MAX_CLASSES``],
+    when not given, since the CSV carries no class count of its own.
     """
     rows = _read_csv_lines(path, None)
     header = next(rows)
@@ -363,9 +366,9 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
     table = np.fromiter(itertools.chain.from_iterable(rows), np.float64).reshape(-1, dim + 1)
     if header != _dataset_header(dim):  # after the rows, so a bad row is reported first
         raise InvalidInputError(f"{path}: malformed header {header!r}")
-    features, labels = table[:, :-1], table[:, -1].astype(np.int64)
-    if num_classes is None:
-        num_classes = max(int(labels.max()) + 1, 2) if labels.size else 2
+    features, labels = table[:, :-1], table[:, -1]
+    if num_classes is None:  # a non-integral maximum is Dataset's to reject
+        num_classes = min(labels.max(initial=1) + 1, MAX_CLASSES)
     return Dataset(features, labels, num_classes)
 
 

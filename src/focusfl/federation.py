@@ -272,7 +272,6 @@ def init_server(
         alpha=alpha,
         reduction=reduction,
         standardize_e=standardize_e,
-        round=0,
     )
 
 
@@ -483,13 +482,10 @@ def save_model(m: ModelParams, path: str) -> None:
     Layout, all little-endian: magic, u32 input_dim, u32 hidden layer count,
     u32 per hidden width, u32 num_classes, then the flat float64 vector.
     """
+    arch = m.arch
+    header = (arch.input_dim, len(arch.hidden_dims), *arch.hidden_dims, arch.num_classes)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        arch = m.arch
-        fh.write(struct.pack("<II", arch.input_dim, len(arch.hidden_dims)))
-        for h in arch.hidden_dims:
-            fh.write(struct.pack("<I", h))
-        fh.write(struct.pack("<I", arch.num_classes))
+        fh.write(MODEL_MAGIC + struct.pack(f"<{len(header)}I", *header))
         fh.write(m.values.astype("<f8").tobytes())
 
 

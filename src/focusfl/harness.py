@@ -20,7 +20,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class ExperimentConfig:
         # values now, as configuration errors, rather than midway through a run.
         try:
             for name, tp in _FIELD_TYPES.items():
-                object.__setattr__(self, name, _FIELD_RULES[tp][0](name, getattr(self, name)))
+                object.__setattr__(self, name, _FIELD_RULES[tp](name, getattr(self, name)))
             self.partition_plan(seed=0)
             self.sgd_config(seed=0)
             as_positive("alpha", self.alpha)
@@ -146,67 +146,35 @@ class ExperimentConfig:
         )
 
 
-def _as_noise_spec(name: str, value) -> NoiseSpec:
-    if isinstance(value, NoiseSpec):
-        return value
-    raise InvalidInputError(f"{name} must hold NoiseSpec values, got {value!r}")
+def _instance_of(kind: type):
+    """The value rule for a ``kind`` instance, which is stored as given."""
+
+    def rule(name: str, value):
+        if isinstance(value, kind):
+            return value
+        raise InvalidInputError(f"{name}: expected {kind.__name__}, got {value!r}")
+
+    return rule
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_items(kind, empty=()):
-    """Parser for comma-separated ``kind`` items; an empty text gives ``empty``."""
-    return lambda raw: tuple(kind(cell.strip()) for cell in raw.split(",")) if raw else empty
-
-
-def _parse_flip_map(raw: str) -> Optional[Dict[int, int]]:
-    if not raw:
-        return None
-    mapping: Dict[int, int] = {}
-    for pair in raw.split(","):
-        src, sep, dst = pair.partition(":")
-        if not sep:
-            raise ValueError(f"expected 'src:dst' pairs, got {pair!r}")
-        key = int(src.strip())
-        if key in mapping:
-            raise ValueError(f"source class {key} is mapped twice")
-        mapping[key] = int(dst.strip())
-    return mapping
+_as_config, _as_noise_spec = _instance_of(ExperimentConfig), _instance_of(NoiseSpec)
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
-# For each annotated field type, a ``(store, parse)`` pair.  ``store`` is how
-# ExperimentConfig stores a value, so that equal values share one config hash;
-# ranges are left to the nested probes and the checks after them, and only
-# the hidden widths have no probe of their own.  ``parse`` reads the value
-# from config text, raising ValueError; an empty text is None for an
-# Optional type.  Noise is read from several keys at once, so it has none,
-# and a flip map is only ever stored by NoiseSpec, so it has no ``store``.
+# How ExperimentConfig stores a value of each annotated field type, so that
+# equal values share one config hash.  Ranges are left to the nested probes
+# and the checks after them; only the hidden widths have no probe of their own.
 _FIELD_RULES = {
-    int: (as_int, int),
-    Union[int, str]: (
-        lambda name, value: value if isinstance(value, str) else as_int(name, value, 0),
-        lambda raw: raw if raw == "full" else int(raw),
-    ),
-    float: (as_real, float),
-    bool: (as_bool, _parse_bool),
-    str: (as_str, str),
-    Optional[str]: (lambda name, value: None if value is None else as_str(name, value), lambda raw: raw or None),
-    Tuple[int, ...]: (lambda name, value: as_items(name, value, learner._as_width), _parse_items(int)),
-    Optional[Tuple[float, ...]]: (
-        lambda name, value: None if value is None else as_items(name, value, as_real),
-        _parse_items(float, None),
-    ),
-    Tuple[NoiseSpec, ...]: (lambda name, value: as_items(name, value, _as_noise_spec), None),
-    Optional[Mapping[int, int]]: (None, _parse_flip_map),
+    int: as_int,
+    Union[int, str]: lambda name, value: value if isinstance(value, str) else as_int(name, value, 0),
+    float: as_real,
+    bool: as_bool,
+    str: as_str,
+    Optional[str]: lambda name, value: None if value is None else as_str(name, value),
+    Tuple[int, ...]: lambda name, value: as_items(name, value, learner._as_width),
+    Optional[Tuple[float, ...]]: lambda name, value: None if value is None else as_items(name, value, as_real),
+    Tuple[NoiseSpec, ...]: lambda name, value: as_items(name, value, _as_noise_spec),
 }
 
 
@@ -351,6 +319,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     changes no output.  A failed round is re-raised as :class:`RoundError`
     carrying the metrics of all completed rounds in ``partial_metrics``.
     """
+    cfg = _as_config("cfg", cfg)
     blas = _blas_threads()
     if blas is None:
         return _run(cfg, cores=1)
@@ -413,21 +382,12 @@ def compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig) -> ComparisonRepor
     Anything else differing between the configs would confound the
     comparison, so it is rejected.
     """
-    stripped_a = {key: value for key, value in asdict(cfg_a).items() if key not in ("aggregator", "noise")}
-    stripped_b = {key: value for key, value in asdict(cfg_b).items() if key not in ("aggregator", "noise")}
-    if stripped_a != stripped_b:
-        diff = sorted(key for key in stripped_a if stripped_a[key] != stripped_b[key])
-        raise InvalidInputError(
-            f"configs may differ only in aggregator and noise; they also differ in {diff}"
-        )
+    cfg_a, cfg_b = _as_config("cfg_a", cfg_a), _as_config("cfg_b", cfg_b)
+    a, b = asdict(cfg_a), asdict(cfg_b)
+    diff = sorted(key for key in a if a[key] != b[key] and key not in ("aggregator", "noise"))
+    if diff:
+        raise InvalidInputError(f"configs may differ only in aggregator and noise; they also differ in {diff}")
     return ComparisonReport(*run_many((cfg_a, cfg_b)))
-
-
-def seed_sweep(cfg: ExperimentConfig, seeds: Sequence[int]) -> Tuple[RunResult, ...]:
-    """Run the same config under several master seeds."""
-    if not seeds:
-        raise InvalidInputError("seed_sweep requires at least one seed")
-    return run_many([replace(cfg, master_seed=s) for s in seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +447,7 @@ def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:
     once every lane is done, the first failing config in input order raises
     its own exception.
     """
-    cfgs = tuple(cfgs)
+    cfgs = as_items("cfgs", cfgs, _as_config)
     n = _workers(len(cfgs), _usable_cores())
     if n == 1 or threading.active_count() > 1 or _blas_threads() is None:
         return tuple(run(cfg) for cfg in cfgs)

@@ -195,6 +195,16 @@ class TestCmdRun:
         assert f"cannot read dataset_file {data}" in err and "at least one column" in err
         assert not out.exists()
 
+    def test_dataset_file_with_a_label_beyond_int64_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "huge-label.csv"
+        data.write_text("f0,label\n0.0,100000000000000000000\n1.0,0\n")
+        config = write_config(tmp_path, text=FAST_CONFIG + f"dataset_file = {data}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read dataset_file {data}" in err and "labels must lie in" in err
+        assert not out.exists()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, text="rounds = 0\n")
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2

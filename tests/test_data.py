@@ -37,6 +37,11 @@ class TestDataset:
             Dataset(np.full((2, 2), np.inf), np.zeros(2, dtype=int), 2)
         with pytest.raises(InvalidInputError, match="labels must lie in"):  # beyond int64, checked before the cast
             Dataset(np.zeros((2, 2)), [1e300, 0.0], 2)
+        # The binary container stores the class count as a u32, so no larger count is accepted.
+        with pytest.raises(InvalidInputError, match="num_classes must be at most 4294967295"):
+            Dataset(np.zeros((1, 1)), np.array([1e20]), 10**21)
+        with pytest.raises(InvalidInputError, match="num_classes must be at most 4294967295"):
+            Dataset(np.zeros((1, 1)), np.array([0]), 2**32)
         with pytest.raises(InvalidInputError, match="features must have at least one column"):
             Dataset(np.zeros((3, 0)), np.zeros(3, dtype=int), 2)
 
@@ -353,6 +358,10 @@ class TestCsvFormat:
         path = tmp_path / "labels.csv"
         save_csv(d, str(path))
         assert load_csv(str(path)).num_classes == 3
+        # A label beyond int64 is refused before any cast, not wrapped.
+        path.write_text("f0,label\n0.0,100000000000000000000\n1.0,0\n")
+        with pytest.raises(InvalidInputError, match=r"labels must lie in \[0, 4294967295\)"):
+            load_csv(str(path))
 
     def test_malformed_rows_are_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -380,6 +389,10 @@ class TestBinaryFormat:
         assert np.array_equal(back.features, d.features)
         assert np.array_equal(back.labels, d.labels)
         assert back.num_classes == 4
+        # The largest class count a Dataset accepts fits the container's u32.
+        save_binary(Dataset(np.ones((1, 1)), np.array([2**32 - 2]), 2**32 - 1), str(path))
+        back = load_binary(str(path))
+        assert back.num_classes == 2**32 - 1 and back.labels.tolist() == [2**32 - 2]
 
     def test_file_starts_with_magic(self, tmp_path):
         d = Dataset(np.ones((2, 2)), np.array([0, 1]), 2)

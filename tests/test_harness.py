@@ -33,7 +33,6 @@ from focusfl.harness import (
     load_credibility_csv,
     load_metrics_csv,
     run,
-    seed_sweep,
     write_run_result,
 )
 
@@ -416,6 +415,20 @@ class TestCompare:
         with pytest.raises(InvalidInputError):
             compare(fast_config(), fast_config(rounds=5))
 
+    def test_an_argument_that_is_not_a_config_is_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run", lambda cfg, cores: pytest.fail("a run started"))
+        monkeypatch.setattr(harness, "_workers", lambda jobs, cpus: pytest.fail("a fan-out started"))
+        for call, name in [
+            (lambda: run("x"), "cfg"),
+            (lambda: harness.run_many(["x"]), "cfgs"),
+            (lambda: harness.run_many([fast_config(), "x"]), "cfgs"),
+            (lambda: harness.run_many(None), "cfgs"),
+            (lambda: compare(fast_config(), "x"), "cfg_b"),
+            (lambda: compare("x", fast_config()), "cfg_a"),
+        ]:
+            with pytest.raises(InvalidInputError, match=rf"^{name}\b"):
+                call()
+
     def test_alignment_and_delta(self):
         noise = (NoiseSpec(kind="randomize", fraction=1.0, target_clients=(0,), seed=1),)
         cfg_a, cfg_b = fast_config(noise=noise), fast_config(aggregator="fedavg", noise=noise)
@@ -429,21 +442,6 @@ class TestCompare:
         cfg_a, cfg_b = fast_config(), fast_config(noise=noise)
         report = compare(cfg_a, cfg_b)
         assert (report.result_a.config, report.result_b.config) == (cfg_a, cfg_b)
-
-
-class TestSweep:
-    def test_seed_sweep_runs_each_seed(self):
-        results = seed_sweep(fast_config(rounds=2), seeds=[0, 1, 2])
-        assert [r.config.master_seed for r in results] == [0, 1, 2]
-
-    def test_non_integral_seed_is_rejected_before_any_run(self, monkeypatch):
-        monkeypatch.setattr(harness, "run_many", lambda cfgs: pytest.fail("a run started"))
-        with pytest.raises(ConfigurationError, match="master_seed"):
-            seed_sweep(fast_config(), seeds=[1.5])
-
-    def test_empty_seed_list_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            seed_sweep(fast_config(), seeds=[])
 
 
 def fail_to_save(model, path):

@@ -18,7 +18,7 @@ from focusfl import harness
 from focusfl.data import Dataset, NoiseSpec
 from focusfl.errors import ConfigurationError, RoundError, TrainingDivergenceError
 from focusfl.federation import CredReport
-from focusfl.harness import ExperimentConfig, RoundMetrics, run, run_many, seed_sweep
+from focusfl.harness import ExperimentConfig, RoundMetrics, run, run_many
 from focusfl.learner import ArchSpec, init_params
 
 # Small runs so the parallel path stays cheap: four 36-row shards, 4 rounds.
@@ -304,7 +304,7 @@ class TestRunMany:
         (result,) = run_many([GOOD])
         assert run_result_bytes(result) == run_result_bytes(run(GOOD))
 
-    def test_compare_and_seed_sweep_go_through_run_many(self, monkeypatch):
+    def test_compare_goes_through_run_many(self, monkeypatch):
         calls = []
         real = harness.run_many
 
@@ -318,9 +318,7 @@ class TestRunMany:
         focus = ExperimentConfig(**FAST, noise=noise)
         fedavg = ExperimentConfig(**FAST, noise=noise, aggregator="fedavg")
         harness.compare(focus, fedavg)
-        seed_sweep(GOOD, seeds=[3, 5])
-        assert calls[0] == (focus, fedavg)
-        assert [c.master_seed for c in calls[1]] == [3, 5]
+        assert calls == [(focus, fedavg)]
 
 
 @pytest.fixture

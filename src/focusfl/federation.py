@@ -23,6 +23,7 @@ rounds log nothing, and ``harness.RunResult.messages`` derives the log.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import struct
 from dataclasses import dataclass, replace
@@ -40,6 +41,18 @@ from .learner import ArchSpec, ModelParams, SgdConfig
 MODEL_MAGIC = b"FOCUSMP1"
 
 AGGREGATORS = ("focus", "fedavg", "local_baseline")
+
+# Rows per SGD step times the widest layer, from which a round trains its
+# participants on parallel lanes.  Below it the steps are short NumPy calls
+# that hand the GIL back and forth.  Training 8 shards of 10 full-batch steps
+# (dim 32, OpenBLAS at one thread) on two lanes of a 2-core host ran
+# 0.50-0.56x as fast as one lane at 12,800, 1.0-1.4x at 65,536, 1.3-1.5x at
+# 102,400 and 1.6-2.1x at 213,504; the crossover lies below 50,560.
+LANE_MIN_WORK = 1 << 16
+
+# Cores a round may train on, one lane each: 1 unless harness.run sets it
+# while OpenBLAS computes on one thread, under which lanes change no output.
+_CORES = contextvars.ContextVar("cores", default=1)
 
 
 @dataclass(frozen=True)
@@ -335,14 +348,17 @@ def _lane(work, count: int, n: int, i: int):
     return outputs, None
 
 
-def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig, lanes: int) -> List[ModelParams]:
-    """``learner.client_update`` of every ``(start, shard)`` pair, on ``lanes`` lanes of :func:`fan_out`.
+def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig) -> List[ModelParams]:
+    """``learner.client_update`` of every ``(start, shard)`` pair, on lanes of :func:`fan_out`.
 
-    The lanes other than this thread run on a thread pool that lives for
-    this call.
+    When rows per step on the smallest shard times the widest layer reaches
+    :data:`LANE_MIN_WORK`, there is one lane per pair and per core of the
+    ``_CORES`` budget; otherwise one.  The lanes other than this thread run
+    on a thread pool that lives for this call.
     """
-    lanes = min(lanes, len(starts))
     arch = starts[0].arch
+    step_work = min(learner.step_rows(sgd, d.n) for d in shards) * max(arch.layer_dims)
+    lanes = min(_CORES.get(), len(starts)) if step_work >= LANE_MIN_WORK else 1
     # This thread allocates every lane's buffers: a pool thread's own
     # allocations would open a second malloc arena and raise peak RSS.
     scratch = [
@@ -367,11 +383,9 @@ def _round(
     sgd: SgdConfig,
     participants: Optional[Sequence[int]],
     aggregator: str,
-    lanes: int,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], Optional[CredReport]]:
-    """One round of ``aggregator``, one of :data:`AGGREGATORS`, training on ``lanes`` lanes."""
+    """One round of ``aggregator``, one of :data:`AGGREGATORS`."""
     part = _check_round_args(server, clients, participants)
-    lanes = as_int("lanes", lanes, 1)
     idx = list(part)
     t = server.round + 1
     n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
@@ -379,7 +393,7 @@ def _round(
     # Each participant starts from the broadcast global model, or from its own under local_baseline.
     starts = [clients[k].local_model if aggregator == "local_baseline" else global_model for k in part]
     try:
-        local_models = _train(starts, [clients[k].data for k in part], sgd, lanes)
+        local_models = _train(starts, [clients[k].data for k in part], sgd)
         if aggregator == "focus":
             # Full participation uses the stored weights exactly; otherwise the
             # participants' stored mass is spread over them for aggregation.
@@ -417,7 +431,6 @@ def focus_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
-    lanes: int = 1,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], CredReport]:
     """Run one credibility-weighted round; no argument is mutated.
 
@@ -427,15 +440,15 @@ def focus_round(
     re-scored; their previous collective weight mass is redistributed among
     them for aggregation, and absent clients keep their stored weight.
 
-    Participants train on ``lanes`` threads, this one included, and score
-    on this thread.  The outputs do not depend on ``lanes`` while each BLAS
-    call computes on one thread, which ``harness.run`` ensures; a failure is
-    the one of the lowest failing participant, as with one lane.
+    Participants score on this thread, and train on it alone unless
+    ``harness.run`` grants cores and their SGD steps reach
+    :data:`LANE_MIN_WORK` (see ``_train``).  The lane count changes no
+    output; a failure is the lowest failing participant's, as with one lane.
 
     Training divergence and degenerate credibilities are re-raised as
     :class:`RoundError` with this round's 1-based index attached.
     """
-    return _round(server, clients, sgd, participants, "focus", lanes)
+    return _round(server, clients, sgd, participants, "focus")
 
 
 def fedavg_round(
@@ -443,16 +456,15 @@ def fedavg_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
-    lanes: int = 1,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
     """Run one FedAvg round: train locally, average by sample counts; no argument is mutated.
 
     No scoring happens in either direction, so the uplink carries the model
-    and nothing else, and the stored weights never change.  ``lanes`` is
-    as in :func:`focus_round`.  Training divergence is re-raised as
+    and nothing else, and the stored weights never change.  Participants
+    train as in :func:`focus_round`.  Training divergence is re-raised as
     :class:`RoundError` with the round index.
     """
-    return _round(server, clients, sgd, participants, "fedavg", lanes)
+    return _round(server, clients, sgd, participants, "fedavg")
 
 
 def local_baseline_round(
@@ -460,15 +472,14 @@ def local_baseline_round(
     clients: Sequence[ClientState],
     sgd: SgdConfig,
     participants: Optional[Sequence[int]] = None,
-    lanes: int = 1,
 ) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
     """Run one no-communication round: each participant trains its own model on; no argument is mutated.
 
     Nothing is sent or aggregated, so only the round counter moves on the
-    server.  ``lanes`` is as in :func:`focus_round`.  Training divergence
-    is re-raised as :class:`RoundError`.
+    server.  Participants train as in :func:`focus_round`.  Training
+    divergence is re-raised as :class:`RoundError`.
     """
-    return _round(server, clients, sgd, participants, "local_baseline", lanes)
+    return _round(server, clients, sgd, participants, "local_baseline")
 
 
 # ---------------------------------------------------------------------------

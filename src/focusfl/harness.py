@@ -9,7 +9,6 @@ and batch schedules.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import functools
 import hashlib
@@ -293,46 +292,34 @@ def fl_training_loss(clients: Sequence[ClientState]) -> float:
     return float(np.mean([c.loss for c in clients]))
 
 
-# Rows per SGD step times the widest layer, from which a run trains its
-# participants on parallel lanes.  Below it the steps are short NumPy calls
-# that hand the GIL back and forth.  Training 8 shards of 10 full-batch steps
-# (dim 32, OpenBLAS at one thread) on two lanes of a 2-core host ran
-# 0.50-0.56x as fast as one lane at 12,800, 1.0-1.4x at 65,536, 1.3-1.5x at
-# 102,400 and 1.6-2.1x at 213,504; the crossover lies below 50,560.
-LANE_MIN_WORK = 1 << 16
-
-# True while run_many's processes share the cores, so that each run trains
-# on one lane.
-_SHARES_CORES = contextvars.ContextVar("shares_cores", default=False)
-
-
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute a full experiment and return its metrics and final model.
 
     The run computes on one OpenBLAS thread, since the thread count changes
     how wide matrix products round; the caller's (process-wide) count is
     restored afterwards.  With that pin in place, a run that is not one of
-    :func:`run_many`'s parallel runs trains each round's participants on
-    one thread per usable core, when rows per step (the smallest shard, or
-    ``batch_size`` if smaller) times the widest layer reaches
-    :data:`LANE_MIN_WORK`; otherwise on this thread alone.  The lane count
+    :func:`run_many`'s parallel runs lets a round train on one thread per
+    usable core (see :func:`federation.focus_round`).  The lane count
     changes no output.  A failed round is re-raised as :class:`RoundError`
     carrying the metrics of all completed rounds in ``partial_metrics``.
     """
     cfg = _as_config("cfg", cfg)
     blas = _blas_threads()
     if blas is None:
-        return _run(cfg, cores=1)
+        return _run(cfg)
     get_threads, set_threads = blas
     threads = get_threads()
     set_threads(1)
+    # A budget already set is run_many's one core for each of its parallel runs.
+    token = federation._CORES.set(federation._CORES.get(_usable_cores()))
     try:
-        return _run(cfg, cores=1 if _SHARES_CORES.get() else _usable_cores())
+        return _run(cfg)
     finally:
+        federation._CORES.reset(token)
         set_threads(threads)
 
 
-def _run(cfg: ExperimentConfig, cores: int) -> RunResult:
+def _run(cfg: ExperimentConfig) -> RunResult:
     """:func:`run`'s body.  A round's ``fl_loss`` covers every client; one that
     sat the round out keeps its state, so its loss is not scored again."""
     seeds = derive_seeds(cfg.master_seed)
@@ -343,15 +330,13 @@ def _run(cfg: ExperimentConfig, cores: int) -> RunResult:
     federated = cfg.aggregator != "local_baseline"  # else no global model or weights
     k = len(clients)
     size = max(1, int(round(cfg.participation_fraction * k))) if federated else k
-    step_work = min(learner.step_rows(sgd, c.n_k) for c in clients) * max(server.global_model.arch.layer_dims)
-    lanes = _workers(size, cores) if step_work >= LANE_MIN_WORK else 1
     prng = np.random.default_rng(seeds["participation"])
     metrics: List[RoundMetrics] = []
     start = time.perf_counter()
     try:
         for t in range(1, cfg.rounds + 1):
             participants = tuple(np.sort(prng.choice(k, size=size, replace=False)).tolist())
-            server, clients, cred = round_fn(server, clients, sgd, participants, lanes)
+            server, clients, cred = round_fn(server, clients, sgd, participants)
             models = [server.global_model] if federated else [c.local_model for c in clients]
             acc = float(np.mean([learner.accuracy(m, test) for m in models]))
             metrics.append(RoundMetrics(t, acc, fl_training_loss(clients), cred, participants))
@@ -423,12 +408,12 @@ def _blas_threads():
 
 def _run_sharing_cores(cfgs: Sequence[ExperimentConfig], lane: int, j: int) -> RunResult:
     """``run(cfgs[j])`` as one of :func:`run_many`'s parallel runs, which train on one lane each."""
-    token = _SHARES_CORES.set(True)
+    token = federation._CORES.set(1)
     try:
         # Looked up per call: ``run`` may have been wrapped.
         return run(cfgs[j])
     finally:
-        _SHARES_CORES.reset(token)
+        federation._CORES.reset(token)
 
 
 def run_many(cfgs: Sequence[ExperimentConfig]) -> Tuple[RunResult, ...]:

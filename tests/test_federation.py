@@ -1,5 +1,6 @@
 """Unit tests for scoring, credibility, aggregation, and round mechanics."""
 
+import contextlib
 import sys
 import threading
 from dataclasses import replace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from focusfl import harness, learner
+from focusfl import federation, harness, learner
 from focusfl.data import Dataset, synth_blobs
 from focusfl.errors import DegenerateCredibilityError, InvalidInputError, RoundError, TrainingDivergenceError
 from focusfl.federation import (
@@ -319,7 +320,6 @@ class TestStateValidation:
             ("standardize_e", lambda server: replace(server, standardize_e="no")),
             ("client_ids", lambda server: CredReport(5, *[np.ones(1)] * 5)),
             ("participants", lambda server: focus_round(server, tiny_federation()[1], SgdConfig(0.1, 1), participants=5)),
-            ("lanes", lambda server: focus_round(server, tiny_federation()[1], SgdConfig(0.1, 1), lanes=0)),
             ("id", lambda server: replace(tiny_federation()[1][0], id="x")),
             ("id", lambda server: replace(tiny_federation()[1][0], id=None)),
             ("id", lambda server: replace(tiny_federation()[1][0], id=float("nan"))),
@@ -327,7 +327,7 @@ class TestStateValidation:
         ],
         ids=[
             "round-nan", "server-alpha-str", "credibilities-alpha-None",
-            "server-standardize_e-str", "cred-client_ids-int", "participants-int", "lanes-zero",
+            "server-standardize_e-str", "cred-client_ids-int", "participants-int",
             "client-id-str", "client-id-None", "client-id-nan", "client-id-negative",
         ],
     )
@@ -561,9 +561,33 @@ def round_bytes(server, clients, report):
     return parts
 
 
+@contextlib.contextmanager
+def core_budget(cores):
+    """Let the rounds run in this block train on up to ``cores`` lanes, as ``harness.run`` does."""
+    token = federation._CORES.set(cores)
+    try:
+        yield
+    finally:
+        federation._CORES.reset(token)
+
+
+@pytest.fixture
+def lanes_used(monkeypatch):
+    """The lane count of every ``federation.fan_out`` call, in call order."""
+    seen, real = [], federation.fan_out
+
+    def spy(work, count, n, pool=None):
+        seen.append(n)
+        return real(work, count, n, pool)
+
+    monkeypatch.setattr(federation, "fan_out", spy)
+    return seen
+
+
 # Five uneven shards, so lanes hold different participants and a lane's
 # buffers are wider than some of its shards.  200 rows times 512 hidden
-# units is above harness.LANE_MIN_WORK; the narrow case is far below it.
+# units is above federation.LANE_MIN_WORK; the narrow case is far below it,
+# so its tests lower the line to train it on lanes.
 LANE_CASES = {
     "wide": dict(k=5, arch=ArchSpec(8, (512,), 3), n_per_client=(200, 230, 210, 240, 200)),
     "narrow": dict(k=5, arch=ArchSpec(3, (4,), 3), n_per_client=(24, 30, 20, 26, 24)),
@@ -572,7 +596,7 @@ LANE_CASES = {
 
 class TestLanes:
     @pytest.mark.parametrize("case", sorted(LANE_CASES))
-    def test_every_lane_count_gives_the_bytes_of_one(self, case, one_blas_thread, monkeypatch):
+    def test_every_lane_count_gives_the_bytes_of_one(self, case, one_blas_thread, lanes_used, monkeypatch):
         server, clients = tiny_federation(seed=15, **LANE_CASES[case])
         # Round 3 with weights that differ, so focus aggregates with stored credibilities.
         server = replace(server, round=2, weights=[0.1, 0.3, 0.2, 0.25, 0.15])
@@ -585,6 +609,8 @@ class TestLanes:
 
         # Lanes call through the module attribute, so a tracer sees every call.
         monkeypatch.setattr(learner, "client_update", counted)
+        if case == "narrow":
+            monkeypatch.setattr(federation, "LANE_MIN_WORK", 1)
         # Five lanes is more threads than cores, and a short switch interval
         # interleaves them often, so a lost or misplaced result would show.
         interval = sys.getswitchinterval()
@@ -594,13 +620,16 @@ class TestLanes:
                 outputs = []
                 for lanes in (1, 2, 3, 5):
                     trained.clear()
-                    outputs.append(round_bytes(*round_fn(server, clients, sgd, None, lanes)))
+                    lanes_used.clear()
+                    with core_budget(lanes):
+                        outputs.append(round_bytes(*round_fn(server, clients, sgd)))
+                    assert lanes_used == [lanes], (round_fn.__name__, lanes)
                     assert sorted(trained) == sorted(c.n_k for c in clients), (round_fn.__name__, lanes)
                 assert all(out == outputs[0] for out in outputs[1:]), round_fn.__name__
         finally:
             sys.setswitchinterval(interval)
 
-    def test_the_lowest_failing_participant_raises_whatever_the_lanes(self, monkeypatch):
+    def test_the_lowest_failing_participant_raises_whatever_the_lanes(self, lanes_used, monkeypatch):
         """Participants 1 and 2 diverge.  With two or three lanes they train on
         different threads, and participant 2 fails first in time; the round
         must still raise participant 1's failure, as one lane does."""
@@ -621,16 +650,29 @@ class TestLanes:
             return real(m, d, cfg, *rest)
 
         monkeypatch.setattr(learner, "client_update", diverge_on_one_and_two)
+        monkeypatch.setattr(federation, "LANE_MIN_WORK", 1)
         threads = threading.active_count()
         for lanes in (1, 2, 3):
             state["lanes"] = lanes
             two_failed.clear()
-            with pytest.raises(RoundError) as excinfo:
-                focus_round(server, clients, SgdConfig(0.3, 2), None, lanes)
+            lanes_used.clear()
+            with core_budget(lanes), pytest.raises(RoundError) as excinfo:
+                focus_round(server, clients, SgdConfig(0.3, 2))
+            assert lanes_used == [lanes]
             exc = excinfo.value
             assert (str(exc), exc.round_index) == ("round 5 failed: client 1 diverged", 5), lanes
             assert isinstance(exc.__cause__, TrainingDivergenceError) and exc.__cause__.step == 1
             assert threading.active_count() == threads, lanes
+
+    def test_a_direct_call_trains_on_one_lane(self, lanes_used):
+        """Outside ``harness.run`` no core budget is set, so wide shards, which
+        train on a lane per core under a budget, train on this thread alone."""
+        server, clients = tiny_federation(seed=15, **LANE_CASES["wide"])
+        sgd = SgdConfig(0.3, 1, seed=0)
+        focus_round(server, clients, sgd)
+        with core_budget(5):
+            focus_round(server, clients, sgd)
+        assert lanes_used == [1, 5]
 
 
 class TestModelCheckpoint:

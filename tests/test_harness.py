@@ -416,7 +416,7 @@ class TestCompare:
             compare(fast_config(), fast_config(rounds=5))
 
     def test_an_argument_that_is_not_a_config_is_rejected_before_any_run(self, monkeypatch):
-        monkeypatch.setattr(harness, "_run", lambda cfg, cores: pytest.fail("a run started"))
+        monkeypatch.setattr(harness, "_run", lambda cfg: pytest.fail("a run started"))
         monkeypatch.setattr(harness, "_workers", lambda jobs, cpus: pytest.fail("a fan-out started"))
         for call, name in [
             (lambda: run("x"), "cfg"),

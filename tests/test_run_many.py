@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from focusfl import harness
+from focusfl import federation, harness
 from focusfl.data import Dataset, NoiseSpec
 from focusfl.errors import ConfigurationError, RoundError, TrainingDivergenceError
 from focusfl.federation import CredReport
@@ -323,15 +323,15 @@ class TestRunMany:
 
 @pytest.fixture
 def lanes_seen(monkeypatch):
-    """Four usable cores, and the ``lanes`` of every focus round this process runs."""
+    """Four usable cores, and the lane count of every ``federation.fan_out`` call this process makes."""
     monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
-    seen, real = [], harness.focus_round
+    seen, real = [], federation.fan_out
 
-    def spy(server, clients, sgd, participants, lanes):
-        seen.append(lanes)
-        return real(server, clients, sgd, participants, lanes)
+    def spy(work, count, n, pool=None):
+        seen.append(n)
+        return real(work, count, n, pool)
 
-    monkeypatch.setattr(harness, "focus_round", spy)
+    monkeypatch.setattr(federation, "fan_out", spy)
     return seen
 
 
@@ -359,12 +359,19 @@ class TestLanes:
         run_many([WIDE, WIDE])  # two processes; the second config runs in the pool worker
         harness._run_sharing_cores((WIDE,), 1, 0)
         run(WIDE)  # a lone run again
-        assert lanes_seen == [1, 1, 4]
+        # run_many's own fan-out over its two processes, then one round each.
+        assert lanes_seen == [2, 1, 1, 4]
 
-    def test_lanes_leave_no_thread_behind_and_run_many_still_forks(self, two_workers, monkeypatch):
+    def test_lanes_leave_no_thread_behind_and_run_many_still_forks(self, two_workers, lanes_seen, monkeypatch):
         threads = threading.active_count()
         server, clients, _ = harness.build_scenario(GOOD)
-        harness.focus_round(server, clients, GOOD.sgd_config(seed=0), None, 3)
+        monkeypatch.setattr(federation, "LANE_MIN_WORK", 1)  # GOOD's shards are far below the line
+        token = federation._CORES.set(3)
+        try:
+            harness.focus_round(server, clients, GOOD.sgd_config(seed=0))
+        finally:
+            federation._CORES.reset(token)
+        assert lanes_seen == [3]
         assert threading.active_count() == threads
         pools, real_pool = [], concurrent.futures.ProcessPoolExecutor
 

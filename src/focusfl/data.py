@@ -76,6 +76,34 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
+def blob_args(num_classes, samples_per_class, dim, separation) -> Tuple[int, int, int, float]:
+    """:func:`synth_blobs`' source arguments as stored; a bad one is a :class:`ConfigurationError`.
+
+    ``num_classes`` is at most :data:`MAX_CLASSES`, ``dim`` at least
+    ``num_classes - 1``, and every generator array fits NumPy's size limit.
+    """
+    try:
+        num_classes = as_int("num_classes", num_classes, 2)
+        samples_per_class = as_int("samples_per_class", samples_per_class, 1)
+        dim = as_int("dim", dim, 0)
+        separation = as_positive("separation", separation)
+    except InvalidInputError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if num_classes > MAX_CLASSES:
+        raise ConfigurationError(f"num_classes must be at most {MAX_CLASSES}, got {num_classes}")
+    if dim < num_classes - 1:
+        raise ConfigurationError(
+            f"dim={dim} is too small to place {num_classes} class means at mutual "
+            f"distance {separation}; need dim >= {num_classes - 1}"
+        )
+    if 8 * max(num_classes**2, dim**2, num_classes * samples_per_class * dim) > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"num_classes={num_classes}, samples_per_class={samples_per_class} and dim={dim} "
+            "need a generator array larger than NumPy can hold"
+        )
+    return num_classes, samples_per_class, dim, separation
+
+
 def synth_blobs(
     num_classes: int,
     samples_per_class: int,
@@ -94,19 +122,11 @@ def synth_blobs(
     Rows are ordered class by class: ``samples_per_class`` rows of class 0,
     then class 1, and so on.  Every bad argument is a configuration error.
     """
+    num_classes, samples_per_class, dim, separation = blob_args(num_classes, samples_per_class, dim, separation)
     try:
-        num_classes = as_int("num_classes", num_classes, 2)
-        samples_per_class = as_int("samples_per_class", samples_per_class, 1)
-        dim = as_int("dim", dim, 0)
-        separation = as_positive("separation", separation)
         seed = as_int("seed", seed, 0)
     except InvalidInputError as exc:
         raise ConfigurationError(str(exc)) from exc
-    if dim < num_classes - 1:
-        raise ConfigurationError(
-            f"dim={dim} is too small to place {num_classes} class means at mutual "
-            f"distance {separation}; need dim >= {num_classes - 1}"
-        )
     rng = np.random.default_rng(seed)
 
     # Start from scaled standard-basis points in R^C, whose pairwise distance

@@ -29,6 +29,7 @@ from .data import (
     Dataset,
     NoiseSpec,
     PartitionPlan,
+    blob_args,
     inject_noise,
     load_binary,
     load_csv,
@@ -105,9 +106,7 @@ class ExperimentConfig:
             as_positive("alpha", self.alpha)
             learner.check_reduction(self.reduction)
             if self.dataset_file is None:  # else the file decides dim and num_classes
-                # One-row probe of the generator checks class count, sample
-                # count, separation, and the dim >= num_classes - 1 bound.
-                synth_blobs(self.num_classes, min(self.samples_per_class, 1), self.dim, self.separation, seed=0)
+                blob_args(self.num_classes, self.samples_per_class, self.dim, self.separation)
         except InvalidInputError as exc:
             raise ConfigurationError(str(exc)) from exc
         if self.aggregator not in AGGREGATORS:

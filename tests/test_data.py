@@ -113,8 +113,13 @@ class TestSynthBlobs:
             ("separation", (2, 10, 3, float("nan"), 0)),
             ("num_classes", (2.5, 10, 3, 3.0, 0)),
             ("samples_per_class", (2, "10", 3, 3.0, 0)),
+            ("num_classes", (2**32, 1, 2**32, 3.0, 0)),
+            ("dim", (2**32 - 1, 1, 2**32 - 1, 3.0, 0)),
         ],
-        ids=["seed-1.5", "separation-None", "separation-str", "separation-nan", "num_classes-2.5", "samples-str"],
+        ids=[
+            "seed-1.5", "separation-None", "separation-str", "separation-nan", "num_classes-2.5", "samples-str",
+            "num_classes-above-u32", "arrays-too-big",
+        ],
     )
     def test_bad_arguments_are_configuration_errors(self, name, args):
         with pytest.raises(ConfigurationError, match=name):

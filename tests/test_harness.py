@@ -167,6 +167,17 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(dataset_file="data.csv", dim=1, num_classes=9, hidden_dims=(4,))
         assert cfg.dim == 1
 
+    def test_construction_never_runs_the_generator(self, monkeypatch):
+        """The source's numbers are checked by rule, so a wide dim costs no dim x dim draw."""
+        monkeypatch.setattr(harness, "synth_blobs", lambda *args, **kwargs: pytest.fail("the generator ran"))
+        cfg = ExperimentConfig(dim=2000)
+        assert replace(cfg, num_classes=9).num_classes == 9
+
+    @pytest.mark.parametrize("size", [2**32, 2**32 - 1])
+    def test_a_source_numpy_cannot_hold_is_a_configuration_error(self, size):
+        with pytest.raises(ConfigurationError, match="num_classes"):
+            ExperimentConfig(num_classes=size, dim=size)
+
     def test_derive_seeds_is_deterministic_and_spread(self):
         a = derive_seeds(123)
         b = derive_seeds(123)

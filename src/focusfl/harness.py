@@ -249,6 +249,7 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     decorrelated per client so one spec aimed at several clients does not
     reuse one random stream.
     """
+    cfg = _as_config("cfg", cfg)
     seeds = derive_seeds(cfg.master_seed)
     if cfg.dataset_file is not None:
         source = _load_dataset_file(cfg.dataset_file)

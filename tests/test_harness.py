@@ -436,6 +436,7 @@ class TestCompare:
             (lambda: harness.run_many(None), "cfgs"),
             (lambda: compare(fast_config(), "x"), "cfg_b"),
             (lambda: compare("x", fast_config()), "cfg_a"),
+            (lambda: harness.build_scenario(None), "cfg"),
         ]:
             with pytest.raises(InvalidInputError, match=rf"^{name}\b"):
                 call()

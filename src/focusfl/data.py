@@ -422,4 +422,7 @@ def load_binary(path: str) -> Dataset:
         raise InvalidInputError(f"{path}: file is {len(blob)} bytes, expected {expected} for n={n}, dim={dim}")
     features = np.frombuffer(blob, dtype="<f8", count=n * dim, offset=offset).reshape(n, dim)
     labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset + n * dim * 8).astype(np.int64)
-    return Dataset(features, labels, num_classes)
+    try:
+        return Dataset(features, labels, num_classes)
+    except InvalidInputError as exc:  # a content error names the file too
+        raise InvalidInputError(f"{path}: {exc}") from exc

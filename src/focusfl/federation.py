@@ -515,11 +515,11 @@ def load_model(path: str) -> ModelParams:
     offset += 4 * n_hidden
     (num_classes,) = struct.unpack_from("<I", blob, offset)
     offset += 4
-    arch = ArchSpec(input_dim=input_dim, hidden_dims=tuple(hidden), num_classes=num_classes)
-    expected = offset + arch.parameter_count() * 8
-    if len(blob) != expected:
-        raise InvalidInputError(
-            f"{path}: checkpoint is {len(blob)} bytes, expected {expected} for {arch.layer_dims}"
-        )
-    values = np.frombuffer(blob, dtype="<f8", offset=offset)
-    return ModelParams(arch, values)
+    try:
+        arch = ArchSpec(input_dim=input_dim, hidden_dims=tuple(hidden), num_classes=num_classes)
+        expected = offset + arch.parameter_count() * 8
+        if len(blob) != expected:
+            raise InvalidInputError(f"checkpoint is {len(blob)} bytes, expected {expected} for {arch.layer_dims}")
+        return ModelParams(arch, np.frombuffer(blob, dtype="<f8", offset=offset))
+    except InvalidInputError as exc:  # a content error names the file too
+        raise InvalidInputError(f"{path}: {exc}") from exc

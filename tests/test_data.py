@@ -1,5 +1,8 @@
 """Unit tests for dataset synthesis, partitioning, noise, and file formats."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -416,3 +419,7 @@ class TestBinaryFormat:
         (tmp_path / "short.bin").write_bytes(blob[:-4])
         with pytest.raises(InvalidInputError):
             load_binary(str(tmp_path / "short.bin"))
+        # A content error names the file, as a truncation error does.
+        (tmp_path / "label7.bin").write_bytes(blob[:-12] + struct.pack("<3I", 7, 7, 7))
+        with pytest.raises(InvalidInputError, match=re.escape(f"{tmp_path / 'label7.bin'}: labels must lie in [0, 2), got range [7, 7]")):
+            load_binary(str(tmp_path / "label7.bin"))

@@ -1,6 +1,8 @@
 """Unit tests for scoring, credibility, aggregation, and round mechanics."""
 
 import contextlib
+import re
+import struct
 import sys
 import threading
 from dataclasses import replace
@@ -702,3 +704,11 @@ class TestModelCheckpoint:
         (tmp_path / "short.bin").write_bytes(blob[:-8])
         with pytest.raises(InvalidInputError):
             load_model(str(tmp_path / "short.bin"))
+        # Content errors name the file, as truncation errors do.
+        for name, bad, message in [
+            ("dim0.bin", blob[:8] + struct.pack("<I", 0) + blob[12:], "input_dim must be an integer >= 1, got 0"),
+            ("nan.bin", blob[:-8] + struct.pack("<d", float("nan")), "parameter vector contains non-finite entries"),
+        ]:
+            (tmp_path / name).write_bytes(bad)
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(tmp_path / name))}: {re.escape(message)}$"):
+                load_model(str(tmp_path / name))

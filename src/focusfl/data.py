@@ -389,7 +389,10 @@ def load_csv(path: str, num_classes: Optional[int] = None) -> Dataset:
     features, labels = table[:, :-1], table[:, -1]
     if num_classes is None:  # a non-integral maximum is Dataset's to reject
         num_classes = min(labels.max(initial=1) + 1, MAX_CLASSES)
-    return Dataset(features, labels, num_classes)
+    try:
+        return Dataset(features, labels, num_classes)
+    except InvalidInputError as exc:  # a content error names the file too
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def save_binary(d: Dataset, path: str) -> None:

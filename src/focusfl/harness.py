@@ -237,7 +237,9 @@ def _load_dataset_file(path: str) -> Dataset:
         with open(path, "rb") as fh:
             head = fh.read(len(DATASET_MAGIC))
         return load_binary(path) if head == DATASET_MAGIC else load_csv(path)
-    except (OSError, ValueError, InvalidInputError) as exc:  # a bad text encoding is a ValueError
+    except InvalidInputError as exc:  # the loaders name the file in their own errors
+        raise ConfigurationError(f"cannot read dataset_file {exc}") from exc
+    except (OSError, ValueError) as exc:  # a bad text encoding is a ValueError
         raise ConfigurationError(f"cannot read dataset_file {path}: {exc}") from exc
 
 

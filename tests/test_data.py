@@ -386,6 +386,10 @@ class TestCsvFormat:
         path.write_text("f0,oops,label\n1.0,x,0\n")
         with pytest.raises(InvalidInputError, match="malformed row"):
             load_csv(str(path))
+        # A content error names the file, as the binary loader's do.
+        path.write_text("f0,label\n1.0,7\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: labels must lie in [0, 2), got range [7.0, 7.0]")):
+            load_csv(str(path), 2)
 
 
 class TestBinaryFormat:

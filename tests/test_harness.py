@@ -11,7 +11,7 @@ import pytest
 
 from focusfl import federation, harness
 from focusfl.cli import main
-from focusfl.data import NoiseSpec
+from focusfl.data import DATASET_MAGIC, NoiseSpec
 from focusfl.errors import (
     ConfigurationError,
     DegenerateCredibilityError,
@@ -263,6 +263,12 @@ class TestBuildScenario:
         with pytest.raises(ConfigurationError, match=f"cannot read dataset_file {path}") as excinfo:
             build_scenario(fast_config(dataset_file=str(path)))
         assert isinstance(excinfo.value.__cause__, InvalidInputError)
+        # The loader already names the file, so the message names it once.
+        short = tmp_path / "short.bin"
+        short.write_bytes(DATASET_MAGIC + b"\0")
+        with pytest.raises(ConfigurationError) as excinfo:
+            build_scenario(fast_config(dataset_file=str(short)))
+        assert str(excinfo.value) == f"cannot read dataset_file {short}: truncated dataset file"
 
 
 class TestRun:

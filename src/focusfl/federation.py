@@ -59,8 +59,10 @@ _CORES = contextvars.ContextVar("cores", default=1)
 class ClientState:
     """One participant: an id, its private shard, and its latest local model.
 
-    ``loss`` is scored on first read and kept: the state and its arrays are
-    frozen, so it cannot go stale.
+    ``loss`` is kept once known: the state and its arrays are frozen, so it
+    cannot go stale.  A round scores it for each state it makes, with the
+    other participants' in stacked passes; any other state scores it on
+    first read.
     """
 
     id: int
@@ -79,7 +81,7 @@ class ClientState:
     @functools.cached_property
     def loss(self) -> float:
         """Mean cross-entropy of this client's local model on its own shard."""
-        return model_test(self.local_model, self.data, "mean")
+        return _scores([self.local_model], [self.data], "mean")[0]
 
 
 @dataclass(frozen=True)
@@ -177,11 +179,46 @@ def model_test(m: ModelParams, d: Dataset, reduction: str = "mean") -> float:
 
     The forward pass runs in float32, the parameters and features cast once
     on the way in; the log and the reduction run in float64, so the floor
-    is exactly ``PROB_FLOOR`` and the score is a float64 Python float.
+    is exactly ``PROB_FLOOR`` and the score is a float64 Python float.  A
+    round scores the small pairs of ``LL`` and the own-shard losses in
+    stacked passes (``_scores``) that give these bits, and calls this
+    function for the benchmark's ``LS`` and for each pair it does not stack.
     """
     learner.check_reduction(reduction)
     learner.check_fits(m.arch, d, "scored dataset")
-    return learner.cross_entropy(learner._forward32(m, d), d.labels, reduction)
+    return learner.cross_entropy(learner._forward32(m.arch, m.values, d.features), d.labels, reduction)
+
+
+def _scores(models: Sequence[ModelParams], datasets: Sequence[Dataset], reduction: str) -> List[float]:
+    """``[model_test(m, d, reduction) for m, d in zip(models, datasets)]``, bit for bit, in fewer passes.
+
+    Pairs whose datasets have equal row counts share one ``(G, rows, width)``
+    float32 forward pass while G x rows x the widest layer stays below
+    :data:`LANE_MIN_WORK`, the line under which ``_train`` finds a step
+    dispatch-bound; a pair left alone, at or above it, calls
+    :func:`model_test`.  Each slice of a stack is its own product of the
+    lone call's shape, so no score depends on the pairs beside it.  The
+    models share one architecture and the datasets fit it, as a round's do;
+    that is not checked again.
+    """
+    arch = models[0].arch
+    groups = {}
+    for j, d in enumerate(datasets):
+        groups.setdefault(d.n, []).append(j)
+    out = [0.0] * len(models)
+    for rows, idx in groups.items():
+        size = max(1, (LANE_MIN_WORK - 1) // (rows * max(arch.layer_dims)))
+        for stack in (idx[i : i + size] for i in range(0, len(idx), size)):
+            if len(stack) == 1:
+                out[stack[0]] = model_test(models[stack[0]], datasets[stack[0]], reduction)
+                continue
+            values = np.stack([models[j].values for j in stack])
+            features = np.stack([datasets[j].features for j in stack])
+            labels = np.stack([datasets[j].labels for j in stack])
+            probs = learner._forward32(arch, values, features)
+            for j, loss in zip(stack, learner.cross_entropy(probs, labels, reduction)):
+                out[j] = loss
+    return out
 
 
 def credibilities(e, alpha: float = 1.0) -> np.ndarray:
@@ -392,8 +429,9 @@ def _round(
     global_model, weights, report = server.global_model, server.weights, None
     # Each participant starts from the broadcast global model, or from its own under local_baseline.
     starts = [clients[k].local_model if aggregator == "local_baseline" else global_model for k in part]
+    shards = [clients[k].data for k in part]
     try:
-        local_models = _train(starts, [clients[k].data for k in part], sgd)
+        local_models = _train(starts, shards, sgd)
         if aggregator == "focus":
             # Full participation uses the stored weights exactly; otherwise the
             # participants' stored mass is spread over them for aggregation.
@@ -405,7 +443,7 @@ def _round(
                 )
             global_model = aggregate(local_models, w_prev / mass)
             ls = np.array([model_test(m, server.benchmark, server.reduction) for m in local_models])
-            ll = np.array([model_test(global_model, clients[k].data, server.reduction) for k in part])
+            ll = np.array(_scores([global_model] * len(part), shards, server.reduction))
             e = ls + ll
             e_mean = float(e.mean())
             e_scaled = e / e_mean if (server.standardize_e and e_mean > 0) else e
@@ -422,6 +460,9 @@ def _round(
     new_clients = list(clients)
     for j, k in enumerate(part):
         new_clients[k] = replace(clients[k], local_model=local_models[j])
+    # Each new state's loss, scored in stacked passes and kept where ClientState.loss keeps it.
+    for k, loss in zip(part, _scores(local_models, shards, "mean")):
+        object.__setattr__(new_clients[k], "loss", loss)
     new_server = replace(server, global_model=global_model, round=t, weights=weights)
     return new_server, tuple(new_clients), report
 

@@ -12,7 +12,7 @@ computed analytically (softmax cross-entropy backprop through tanh layers);
 there is no autograd dependency.
 
 Local SGD (:func:`client_update`) and every forward pass over a dataset
-(:func:`accuracy` and ``federation.model_test``) compute in float32, casting
+(:func:`accuracy` and ``federation``'s scoring) compute in float32, casting
 once on the way in.  What they return is float64, and so are the parameter
 vectors and :func:`predict_proba` and :func:`loss_and_grad` on a
 ``ModelParams``.
@@ -116,17 +116,21 @@ class SgdConfig:
 
 
 def _layer_views(arch: ArchSpec, values: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (W, b) views without copying."""
-    dims = arch.layer_dims
+    """Split a flat vector into per-layer (W, b) views without copying.
+
+    A ``(G, P)`` stack of vectors gives ``(G, fan_in, fan_out)`` weights and
+    ``(G, 1, fan_out)`` biases, which broadcast over each slice's rows.
+    """
+    dims, lead = arch.layer_dims, values.shape[:-1]
     views = []
     pos = 0
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
-        w = values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[..., pos : pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         pos += fan_in * fan_out
-        b = values[pos : pos + fan_out]
+        b = values[..., pos : pos + fan_out]
         pos += fan_out
-        views.append((w, b))
+        views.append((w, b[:, None] if lead else b))
     return views
 
 
@@ -153,7 +157,11 @@ def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray], shift: np.ndarr
 
     ``outs`` holds one ``(rows, width)`` array per layer: the tanh output of
     each hidden layer, then the softmax (computed with the usual max-shift).
-    ``shift`` is ``(rows,)`` scratch for the row maxima and normalisers.
+    ``shift`` is ``(rows,)`` scratch for the row maxima and normalisers.  A
+    ``(G, rows, dim)`` stack ``x``, with ``layers`` from a stack of vectors,
+    ``(G, rows, width)`` outputs and ``(G, rows)`` scratch, runs G passes at
+    once: each slice is its own product of the lone pass's shape, and its
+    row sums and maxima are the lone pass's, so it gets the lone bits.
     """
     a = x
     for (w, b), out in zip(layers[:-1], outs):
@@ -166,52 +174,59 @@ def _forward_into(layers, x: np.ndarray, outs: List[np.ndarray], shift: np.ndarr
     probs += b
     # The row max, taken column by column: the class axis is only a few
     # entries wide, and one elementwise call per column costs far less than
-    # a reduction along it.  max is exact, so this equals probs.max(axis=1).
-    np.maximum(probs[:, 0], probs[:, 1], out=shift)
-    for j in range(2, probs.shape[1]):
-        np.maximum(shift, probs[:, j], out=shift)
-    probs -= shift[:, None]
+    # a reduction along it.  max is exact, so this equals probs.max(axis=-1).
+    np.maximum(probs[..., 0], probs[..., 1], out=shift)
+    for j in range(2, probs.shape[-1]):
+        np.maximum(shift, probs[..., j], out=shift)
+    probs -= shift[..., None]
     np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=1, out=shift)[:, None]
+    probs /= np.add.reduce(probs, axis=-1, out=shift)[..., None]
     return probs
 
 
 def forward(arch: ArchSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities of the network for the batch ``x``, in fresh arrays.
 
-    The arrays have the dtype of ``values``; ``x`` should share it.
+    The arrays have the dtype of ``values``; ``x`` should share it.  A
+    ``(G, P)`` stack of vectors and a ``(G, rows, dim)`` stack of batches
+    give ``(G, rows, classes)`` probabilities (see :func:`_forward_into`).
     """
-    dtype = values.dtype
-    outs = [np.empty((x.shape[0], width), dtype) for width in arch.layer_dims[1:]]
-    return _forward_into(_layer_views(arch, values), x, outs, np.empty(x.shape[0], dtype))
+    dtype, rows = values.dtype, x.shape[:-1]
+    outs = [np.empty((*rows, width), dtype) for width in arch.layer_dims[1:]]
+    return _forward_into(_layer_views(arch, values), x, outs, np.empty(rows, dtype))
 
 
-def _forward32(m: ModelParams, d: Dataset) -> np.ndarray:
-    """Float32 class probabilities of ``m`` on every row of ``d``.
+def _forward32(arch: ArchSpec, values: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Float32 class probabilities of the parameters ``values`` on the rows of ``features``.
 
-    Raises :class:`InvalidInputError` when a parameter lies beyond float32's
-    range, since the cast would make it infinite and every score ``nan``.
-    ``d`` is not validated.
+    ``values`` and ``features`` are one vector and one ``(rows, dim)``
+    table, or stacks of them as :func:`forward` takes.  Raises
+    :class:`InvalidInputError` when a parameter lies beyond float32's range,
+    since the cast would make it infinite and every score ``nan``.  Nothing
+    else is validated.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects what overflows
-        values = m.values.astype(np.float32)
+        values = values.astype(np.float32)
     if not np.isfinite(values).all():
         raise InvalidInputError("model parameters lie beyond float32's range and cannot be scored")
-    return forward(m.arch, values, d.features.astype(np.float32))
+    return forward(arch, values, features.astype(np.float32))
 
 
-def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> float:
+def cross_entropy(probs: np.ndarray, y: np.ndarray, reduction: str) -> Union[float, List[float]]:
     """Negative log-likelihood of labels ``y`` under row probabilities ``probs``.
 
     The label column's probabilities are cast to float64 and clamped at
     ``PROB_FLOOR`` before the log, whatever the dtype of ``probs``, and the
-    per-row losses are reduced by ``reduction`` ("mean" or "sum").  Inputs are
-    not validated; callers pass arrays whose shapes already agree.
+    per-row losses are reduced by ``reduction`` ("mean" or "sum") into a
+    Python float.  A ``(G, rows, classes)`` stack with ``(G, rows)`` labels
+    gives a list of G floats, each the lone call's on its slice, bit for
+    bit.  Inputs are not validated; callers pass arrays whose shapes
+    already agree.
     """
-    n = y.shape[0]
-    picked = probs[np.arange(n), y].astype(np.float64, copy=False)
-    loss = -float(np.log(np.maximum(picked, PROB_FLOOR)).sum())
-    return loss / n if reduction == "mean" else loss
+    n = y.shape[-1]
+    picked = probs.reshape(-1, probs.shape[-1])[np.arange(y.size), y.ravel()].reshape(y.shape)
+    loss = -np.log(np.maximum(picked.astype(np.float64, copy=False), PROB_FLOOR)).sum(axis=-1)
+    return (loss / n if reduction == "mean" else loss).tolist()
 
 
 def check_reduction(reduction: str) -> None:
@@ -440,4 +455,4 @@ def accuracy(m: ModelParams, d: Dataset) -> float:
     class index.
     """
     check_fits(m.arch, d, "dataset")
-    return float(np.mean(_forward32(m, d).argmax(axis=1) == d.labels))
+    return float(np.mean(_forward32(m.arch, m.values, d.features).argmax(axis=1) == d.labels))

@@ -16,12 +16,16 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_trace_target_is_a_callable_in_the_package():
+def _tracing():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        tracing = importlib.import_module("tracing")
+        return importlib.import_module("tracing")
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_every_trace_target_is_a_callable_in_the_package():
+    tracing = _tracing()
     assert tracing.TARGETS
     missing = [
         f"{module.__name__}.{attr}"
@@ -108,3 +112,24 @@ def test_each_aggregator_calls_its_round_function_through_harness(monkeypatch):
         calls.clear()
         harness.run(harness.ExperimentConfig(aggregator=aggregator, **small))
         assert calls == {f"{aggregator}_round": 3}
+
+
+def test_a_focus_run_calls_every_target_the_per_layer_report_reads_by_key(monkeypatch):
+    """``perfbench/run.py``'s per-layer report reads the counts of these
+    spans by key, so a run that stopped calling one of them through its
+    module attribute (a captured ``client_update``, say) fails trace 1 with
+    a ``KeyError`` rather than a number."""
+    from focusfl import harness
+
+    calls = {}
+    for name, module, attr in _tracing().TARGETS:
+        real = getattr(module, attr)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    harness.run(harness.ExperimentConfig(samples_per_class=30, local_steps=2, rounds=2))
+    read = ("learner.client_update", "federation.model_test", "federation.aggregate", "harness.fl_training_loss")
+    assert {name: calls.get(name, 0) > 0 for name in read} == dict.fromkeys(read, True)

@@ -284,23 +284,31 @@ class TestStateValidation:
         from focusfl import federation
 
         calls = []
-        real_model_test = federation.model_test
+        real_scores = federation._scores
 
-        def counting_model_test(m, d, reduction="mean"):
-            calls.append(d)
-            return real_model_test(m, d, reduction)
+        def counting_scores(models, datasets, reduction):
+            calls.extend(datasets)
+            return real_scores(models, datasets, reduction)
 
-        monkeypatch.setattr(federation, "model_test", counting_model_test)
-        _, (c, other, _) = tiny_federation()
+        monkeypatch.setattr(federation, "_scores", counting_scores)
+        server, (c, other, _) = tiny_federation()
         first = c.loss
         assert c.loss == first
         assert len(calls) == 1 and calls[0] is c.data
         # The same model object on another shard is a new state: scored again.
         moved = replace(c, data=other.data)
         assert moved.local_model is c.local_model
-        assert moved.loss == real_model_test(c.local_model, other.data, "mean")
+        assert moved.loss == model_test(c.local_model, other.data, "mean")
         assert moved.loss != first
         assert len(calls) == 2
+        # A round scores each state it makes, once, with the other participants'.
+        for round_fn in ROUND_FNS:
+            calls.clear()
+            _, clients, _ = round_fn(server, (c, moved, other), SgdConfig(0.1, 2), participants=[0, 2])
+            assert [id(d) for d in calls[-2:]] == [id(clients[0].data), id(clients[2].data)]
+            scored = len(calls)
+            assert [clients[k].loss for k in (0, 2)] == [model_test(clients[k].local_model, clients[k].data) for k in (0, 2)]
+            assert len(calls) == scored
 
     def test_server_state_rejects_bad_weights(self):
         server, _ = tiny_federation()

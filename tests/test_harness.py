@@ -359,17 +359,18 @@ class TestRun:
         from focusfl import federation
 
         scored = []
-        real_model_test = federation.model_test
+        real_scores = federation._scores
 
-        def counting_model_test(m, d, reduction="mean"):
-            scored.append(m)
-            return real_model_test(m, d, reduction)
+        def counting_scores(models, datasets, reduction):
+            scored.extend(models)
+            return real_scores(models, datasets, reduction)
 
-        monkeypatch.setattr(federation, "model_test", counting_model_test)
+        monkeypatch.setattr(federation, "_scores", counting_scores)
         run(fast_config(aggregator="fedavg", participation_fraction=0.5, rounds=5))
-        # FedAvg scores nothing itself, so every call is for the FL loss: all
-        # four initial models in round 1, then each round's two participants.
-        assert len(scored) == 4 + 4 * 2
+        # FedAvg scores no LL, so every pair is for the FL loss: each round's
+        # two participants as the round makes their states, and the two
+        # initial models that sat round 1 out, when round 1's loss reads them.
+        assert len(scored) == 5 * 2 + 2
 
     def test_partial_participation_runs_and_keeps_simplex(self):
         result = run(fast_config(participation_fraction=0.5, rounds=6))

@@ -13,7 +13,9 @@ from focusfl.cli import parse_config_text
 from focusfl.data import Dataset, PartitionPlan, load_binary, load_csv, partition, save_binary, save_csv
 from focusfl.errors import ConfigurationError, InvalidInputError
 from focusfl.federation import (
+    LANE_MIN_WORK,
     ClientState,
+    _scores,
     aggregate,
     aggregation_weights,
     credibilities,
@@ -294,3 +296,50 @@ def test_scoring_returns_floats_and_leaves_the_model_alone(m, data):
                     score(m, d)
     assert probs.dtype == np.float64
     assert m.values.dtype == np.float64 and m.values.tobytes() == before
+
+
+# (input width, hidden widths): (32, (256,)) is wide-shards' model.
+_SCORED_LAYERS = ((32, (256,)), (8, (64,)), (3, ()), (5, (7, 3)))
+
+
+def _scored_pairs(data, layers, classes):
+    """Models drawn from a pool of one to three (so some pairs share one) and
+    datasets whose row counts lie on both sides of ``LANE_MIN_WORK``: pairs
+    that stack, stacks the line splits, and pairs the line leaves alone."""
+    dim, hidden = layers
+    arch = ArchSpec(dim, hidden, classes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from((0.1, 1.0, 4.0)))
+    pool = [ModelParams(arch, scale * rng.normal(size=arch.parameter_count())) for _ in range(data.draw(st.integers(1, 3)))]
+    edge = -(-LANE_MIN_WORK // max(arch.layer_dims))  # rows at which one pair reaches the line
+    row_counts = data.draw(st.lists(st.sampled_from((1, 3, 41, 42, edge // 3, edge - 1, edge)), min_size=1, max_size=10))
+    models = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in row_counts]
+    datasets = [Dataset(3 * rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes) for n in row_counts]
+    return models, datasets
+
+
+@pytest.mark.parametrize("layers", _SCORED_LAYERS, ids=str)
+@FEW
+@given(st.data(), st.integers(2, 10), st.sampled_from(("mean", "sum")))
+def test_stacked_scores_equal_model_test_bit_for_bit(layers, data, classes, reduction):
+    models, datasets = _scored_pairs(data, layers, classes)
+    got = _scores(models, datasets, reduction)
+    want = [model_test(m, d, reduction) for m, d in zip(models, datasets)]
+    assert [type(v) for v in got] == [float] * len(want)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_clients_ll_does_not_depend_on_who_else_takes_part(data):
+    """``LL`` scores one global model on every participant's shard; client
+    0's score is the same bits whichever other shards share its pass."""
+    arch = ArchSpec(8, (64,), 4)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    model = ModelParams(arch, rng.normal(size=arch.parameter_count()))
+    shards = [Dataset(rng.normal(size=(n, 8)), rng.integers(0, 4, n), 4) for n in [42] * 40 + [41] * 24]
+    alone = model_test(model, shards[0], "mean")
+    others = data.draw(st.lists(st.integers(1, len(shards) - 1), max_size=40, unique=True))
+    at = data.draw(st.integers(0, len(others)))
+    part = others[:at] + [0] + others[at:]
+    assert _scores([model] * len(part), [shards[k] for k in part], "mean")[at] == alone

@@ -298,31 +298,34 @@ def test_scoring_returns_floats_and_leaves_the_model_alone(m, data):
     assert m.values.dtype == np.float64 and m.values.tobytes() == before
 
 
-# (input width, hidden widths): (32, (256,)) is wide-shards' model.
-_SCORED_LAYERS = ((32, (256,)), (8, (64,)), (3, ()), (5, (7, 3)))
+# (input width, hidden widths, classes or None to draw 2-10); the first is
+# wide-shards' model.
+_SCORED_ARCHS = ((32, (256,), 4), (32, (256,), None), (8, (64,), None), (3, (), None), (5, (7, 3), None))
 
 
-def _scored_pairs(data, layers, classes):
+def _scored_pairs(data, shape):
     """Models drawn from a pool of one to three (so some pairs share one) and
     datasets whose row counts lie on both sides of ``LANE_MIN_WORK``: pairs
     that stack, stacks the line splits, and pairs the line leaves alone."""
-    dim, hidden = layers
+    dim, hidden, classes = shape
+    classes = classes or data.draw(st.integers(2, 10))
     arch = ArchSpec(dim, hidden, classes)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     scale = data.draw(st.sampled_from((0.1, 1.0, 4.0)))
     pool = [ModelParams(arch, scale * rng.normal(size=arch.parameter_count())) for _ in range(data.draw(st.integers(1, 3)))]
     edge = -(-LANE_MIN_WORK // max(arch.layer_dims))  # rows at which one pair reaches the line
-    row_counts = data.draw(st.lists(st.sampled_from((1, 3, 41, 42, edge // 3, edge - 1, edge)), min_size=1, max_size=10))
+    rows = st.sampled_from((1, 3, 41, 42, edge // 3, edge - 1, edge))
+    row_counts = data.draw(st.lists(rows, min_size=1, max_size=10))
     models = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in row_counts]
     datasets = [Dataset(3 * rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes) for n in row_counts]
     return models, datasets
 
 
-@pytest.mark.parametrize("layers", _SCORED_LAYERS, ids=str)
+@pytest.mark.parametrize("shape", _SCORED_ARCHS, ids=str)
 @FEW
-@given(st.data(), st.integers(2, 10), st.sampled_from(("mean", "sum")))
-def test_stacked_scores_equal_model_test_bit_for_bit(layers, data, classes, reduction):
-    models, datasets = _scored_pairs(data, layers, classes)
+@given(st.data(), st.sampled_from(("mean", "sum")))
+def test_stacked_scores_equal_model_test_bit_for_bit(shape, data, reduction):
+    models, datasets = _scored_pairs(data, shape)
     got = _scores(models, datasets, reduction)
     want = [model_test(m, d, reduction) for m, d in zip(models, datasets)]
     assert [type(v) for v in got] == [float] * len(want)

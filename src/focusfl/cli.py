@@ -183,9 +183,8 @@ def _run_to_disk(cfgs: List[ExperimentConfig], args: argparse.Namespace, heading
             f"{label}: {len(result.metrics)} rounds, final accuracy {result.final_accuracy:.4f}, "
             f"final fl_loss {result.final_fl_loss:.6f} -> {run_dir}"
         )
-        if result.final_weights is not None:
-            weights = " ".join(f"{w:.4f}" for w in result.final_weights)
-            print(f"{label}: final client weights [{weights}]")
+        weights = " ".join(f"{w:.4f}" for w in result.final_weights)
+        print(f"{label}: final client weights [{weights}]")
     if len(results) == 2:
         delta = results[0].final_accuracy - results[1].final_accuracy
         print(f"final accuracy delta ({cfgs[0].aggregator} - {cfgs[1].aggregator}): {delta:+.4f}")

@@ -1,6 +1,6 @@
 """Federated rounds: credibility scoring, weighted aggregation, FedAvg.
 
-One round engine serves all three aggregators.  A focus round does, in order:
+One round engine serves both aggregators.  A focus round does, in order:
 
 1. broadcast the global model; every participant runs local SGD on its shard;
 2. the server aggregates the returned models using the weights computed at
@@ -14,11 +14,10 @@ One round engine serves all three aggregators.  A focus round does, in order:
 
 FedAvg (:func:`fedavg_round`) is the same round with scoring off: steps 3
 and 4 are skipped, step 2 uses the participants' sample-proportional weights
-``n_k / sum n``, and the stored weights never change.  The local baseline
-(:func:`local_baseline_round`) runs step 1 alone, from each participant's own
-model.  A federated participant exchanges two logical messages per round:
-one model down, and one model up, which carries ``LL`` under focus; the
-rounds log nothing, and ``harness.RunResult.messages`` derives the log.
+``n_k / sum n``, and the stored weights never change.  A participant
+exchanges two logical messages per round: one model down, and one model up,
+which carries ``LL`` under focus; the rounds log nothing, and
+``harness.RunResult.messages`` derives the log.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .learner import ArchSpec, ModelParams, SgdConfig
 # Magic prefix of the binary model checkpoint container (version 1).
 MODEL_MAGIC = b"FOCUSMP1"
 
-AGGREGATORS = ("focus", "fedavg", "local_baseline")
+AGGREGATORS = ("focus", "fedavg")
 
 # Rows per SGD step times the widest layer, from which a round trains its
 # participants on parallel lanes.  Below it the steps are short NumPy calls
@@ -426,12 +425,10 @@ def _round(
     idx = list(part)
     t = server.round + 1
     n_part = np.array([clients[k].n_k for k in part], dtype=np.float64)
-    global_model, weights, report = server.global_model, server.weights, None
-    # Each participant starts from the broadcast global model, or from its own under local_baseline.
-    starts = [clients[k].local_model if aggregator == "local_baseline" else global_model for k in part]
+    weights, report = server.weights, None
     shards = [clients[k].data for k in part]
     try:
-        local_models = _train(starts, shards, sgd)
+        local_models = _train([server.global_model] * len(part), shards, sgd)
         if aggregator == "focus":
             # Full participation uses the stored weights exactly; otherwise the
             # participants' stored mass is spread over them for aggregation.
@@ -452,7 +449,7 @@ def _round(
             weights = np.array(server.weights)
             weights[idx] = w_part
             report = CredReport(client_ids=part, ls=ls, ll=ll, e=e, c=c_part, w=w_part)
-        elif aggregator == "fedavg":
+        else:
             global_model = aggregate(local_models, n_part / n_part.sum())
     except (TrainingDivergenceError, DegenerateCredibilityError) as exc:
         raise RoundError(f"round {t} failed: {exc}", round_index=t) from exc
@@ -506,21 +503,6 @@ def fedavg_round(
     :class:`RoundError` with the round index.
     """
     return _round(server, clients, sgd, participants, "fedavg")
-
-
-def local_baseline_round(
-    server: ServerState,
-    clients: Sequence[ClientState],
-    sgd: SgdConfig,
-    participants: Optional[Sequence[int]] = None,
-) -> Tuple[ServerState, Tuple[ClientState, ...], None]:
-    """Run one no-communication round: each participant trains its own model on; no argument is mutated.
-
-    Nothing is sent or aggregated, so only the round counter moves on the
-    server.  Participants train as in :func:`focus_round`.  Training
-    divergence is re-raised as :class:`RoundError`.
-    """
-    return _round(server, clients, sgd, participants, "local_baseline")
 
 
 # ---------------------------------------------------------------------------

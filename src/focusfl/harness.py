@@ -49,7 +49,6 @@ from .federation import (
     fedavg_round,
     focus_round,
     init_server,
-    local_baseline_round,
 )
 from .learner import ArchSpec, ModelParams, SgdConfig
 
@@ -64,8 +63,7 @@ class ExperimentConfig:
     Synthetic data is the default source; ``dataset_file`` (CSV or the binary
     container) overrides it, in which case the class count and feature width
     come from the file.  ``noise`` lists label corruptions applied to client
-    shards after partitioning.  ``local_baseline`` never communicates, so
-    it trains every client each round and ignores ``participation_fraction``.
+    shards after partitioning.
     """
 
     # data source
@@ -189,19 +187,17 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one full run."""
+    """Outcome of one full run: its per-round metrics, the final global model and the server's final weights."""
 
     config: ExperimentConfig
     metrics: Tuple[RoundMetrics, ...]
-    final_model: Optional[ModelParams]
-    final_weights: Optional[Tuple[float, ...]]
+    final_model: ModelParams
+    final_weights: Tuple[float, ...]
     duration_seconds: float
 
     @property
     def messages(self) -> Tuple[MessageRecord, ...]:
         """Per round, the model down to each participant, then each one's model up (plus ``LL`` under focus)."""
-        if self.final_model is None:  # local_baseline never communicates
-            return ()
         pcount = self.final_model.arch.parameter_count()
         up_scalars = int(self.config.aggregator == "focus")
         return tuple(
@@ -232,6 +228,12 @@ def derive_seeds(master_seed: int) -> Dict[str, int]:
     return {name: int(value) for name, value in zip(names, state)}
 
 
+def _dataset_file_error(path: str, exc: Exception) -> ConfigurationError:
+    """An unreadable ``dataset_file``'s error, naming the path once: an ``OSError`` adds only its ``strerror``."""
+    reason = getattr(exc, "strerror", None) or str(exc)
+    return ConfigurationError(f"cannot read dataset_file {path}: {reason}")
+
+
 def _load_dataset_file(path: str) -> Dataset:
     try:
         with open(path, "rb") as fh:
@@ -240,7 +242,7 @@ def _load_dataset_file(path: str) -> Dataset:
     except InvalidInputError as exc:  # the loaders name the file in their own errors
         raise ConfigurationError(f"cannot read dataset_file {exc}") from exc
     except (OSError, ValueError) as exc:  # a bad text encoding is a ValueError
-        raise ConfigurationError(f"cannot read dataset_file {path}: {exc}") from exc
+        raise _dataset_file_error(path, exc) from exc
 
 
 def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientState, ...], Dataset]:
@@ -328,10 +330,9 @@ def _run(cfg: ExperimentConfig) -> RunResult:
     server, clients, test = build_scenario(cfg)
     sgd = cfg.sgd_config(seed=seeds["sgd"])
     # Looked up in this module per run, so that a round function wrapped here is the one called.
-    round_fn = {"focus": focus_round, "fedavg": fedavg_round, "local_baseline": local_baseline_round}[cfg.aggregator]
-    federated = cfg.aggregator != "local_baseline"  # else no global model or weights
+    round_fn = {"focus": focus_round, "fedavg": fedavg_round}[cfg.aggregator]
     k = len(clients)
-    size = max(1, int(round(cfg.participation_fraction * k))) if federated else k
+    size = max(1, int(round(cfg.participation_fraction * k)))
     prng = np.random.default_rng(seeds["participation"])
     metrics: List[RoundMetrics] = []
     start = time.perf_counter()
@@ -339,8 +340,7 @@ def _run(cfg: ExperimentConfig) -> RunResult:
         for t in range(1, cfg.rounds + 1):
             participants = tuple(np.sort(prng.choice(k, size=size, replace=False)).tolist())
             server, clients, cred = round_fn(server, clients, sgd, participants)
-            models = [server.global_model] if federated else [c.local_model for c in clients]
-            acc = float(np.mean([learner.accuracy(m, test) for m in models]))
+            acc = learner.accuracy(server.global_model, test)
             metrics.append(RoundMetrics(t, acc, fl_training_loss(clients), cred, participants))
     except RoundError as exc:
         exc.partial_metrics = tuple(metrics)
@@ -349,8 +349,8 @@ def _run(cfg: ExperimentConfig) -> RunResult:
     return RunResult(
         config=cfg,
         metrics=tuple(metrics),
-        final_model=server.global_model if federated else None,
-        final_weights=tuple(float(w) for w in server.weights) if federated else None,
+        final_model=server.global_model,
+        final_weights=tuple(float(w) for w in server.weights),
         duration_seconds=duration,
     )
 
@@ -463,7 +463,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         try:
             canonical += hashlib.sha256(Path(cfg.dataset_file).read_bytes()).hexdigest()
         except OSError as exc:
-            raise ConfigurationError(f"cannot read dataset_file {cfg.dataset_file}: {exc}") from exc
+            raise _dataset_file_error(cfg.dataset_file, exc) from exc
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -505,10 +505,7 @@ def _write_run_files(result: RunResult, run_dir: Path) -> None:
     if cred_rows:
         write_csv(run_dir / "credibility.csv", CRED_CSV_HEADER, cred_rows)
 
-    checkpoint = None
-    if result.final_model is not None:
-        checkpoint = "model.bin"
-        federation.save_model(result.final_model, str(run_dir / checkpoint))
+    federation.save_model(result.final_model, str(run_dir / "model.bin"))
 
     summary = {
         "config": asdict(result.config),
@@ -516,10 +513,10 @@ def _write_run_files(result: RunResult, run_dir: Path) -> None:
         "rounds_completed": len(result.metrics),
         "final_accuracy": result.final_accuracy,
         "final_fl_loss": result.final_fl_loss,
-        "final_weights": list(result.final_weights) if result.final_weights is not None else None,
+        "final_weights": list(result.final_weights),
         "messages_per_round": result.messages_per_round,
         "duration_seconds": result.duration_seconds,
-        "checkpoint": checkpoint,
+        "checkpoint": "model.bin",
     }
     (run_dir / "result.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -278,9 +278,8 @@ class TestAcceptance:
                     audited += 1
                     worst = max(worst, abs(float(m.cred.w.sum()) - 1.0))
                     nonneg = nonneg and bool(np.all(m.cred.w >= 0))
-            if result.final_weights is not None:
-                worst = max(worst, abs(sum(result.final_weights) - 1.0))
-                nonneg = nonneg and all(w >= 0 for w in result.final_weights)
+            worst = max(worst, abs(sum(result.final_weights) - 1.0))
+            nonneg = nonneg and all(w >= 0 for w in result.final_weights)
         ok = worst <= 1e-9 and nonneg and audited >= 50 * len(SEEDS)
         record(capsys, 4, "simplex-invariant", ok, f"{audited} rounds audited, worst |sum-1| {worst:.2e}")
 

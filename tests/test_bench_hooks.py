@@ -99,7 +99,7 @@ def test_each_aggregator_calls_its_round_function_through_harness(monkeypatch):
     from focusfl import harness
 
     calls = {}
-    for name in ("focus_round", "fedavg_round", "local_baseline_round"):
+    for name in (f"{a}_round" for a in harness.AGGREGATORS):
         real = getattr(harness, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):

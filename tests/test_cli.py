@@ -178,7 +178,9 @@ class TestCmdRun:
         config = write_config(tmp_path, text=FAST_CONFIG + f"dataset_file = {missing}\n")
         out = tmp_path / "o"
         assert main(["run", "--config", config, "--out", str(out)]) == 2
-        assert f"cannot read dataset_file {missing}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot read dataset_file {missing}" in err
+        assert err.count(str(missing)) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["csv", "binary"])

@@ -26,7 +26,6 @@ from focusfl.federation import (
     focus_round,
     init_server,
     load_model,
-    local_baseline_round,
     model_test,
     save_model,
 )
@@ -67,7 +66,7 @@ def tiny_federation(seed=0, k=3, arch=ArchSpec(3, (), 3), n_per_client=24, **ser
 
 
 # The checks of TestFocusRound that hold for every round function loop over these.
-ROUND_FNS = (focus_round, fedavg_round, local_baseline_round)
+ROUND_FNS = (focus_round, fedavg_round)
 
 
 class TestModelTest:
@@ -463,9 +462,7 @@ class TestFocusRound:
     def test_divergence_is_wrapped_with_round_index(self):
         server, clients = tiny_federation(seed=10, k=2)
         bad = ModelParams(server.global_model.arch, np.full(server.global_model.values.shape, 1.7e308))
-        # local_baseline trains on from the clients' own models, the others from the global one.
         server = replace(server, global_model=bad)
-        clients = tuple(replace(c, local_model=bad) for c in clients)
         for round_fn in ROUND_FNS:
             with pytest.raises(RoundError) as excinfo:
                 round_fn(server, clients, SgdConfig(0.5, 3, seed=0))
@@ -525,24 +522,6 @@ class TestFedavgRound:
         np.testing.assert_allclose(
             s_focus.global_model.values, s_fedavg.global_model.values, atol=1e-12
         )
-
-
-class TestLocalBaselineRound:
-    def test_participants_train_on_from_their_own_models_and_nothing_else_moves(self):
-        server, clients = tiny_federation(seed=14, k=4)
-        # Own models that differ from the global one, so a broadcast would show.
-        clients = tuple(replace(c, local_model=init_params(c.local_model.arch, seed=100 + c.id)) for c in clients)
-        sgd = SgdConfig(0.2, 3, seed=2)
-        new_server, new_clients, report = local_baseline_round(server, clients, sgd, participants=[0, 2])
-        assert report is None
-        for k in (0, 2):
-            expected = client_update(clients[k].local_model, clients[k].data, sgd)
-            assert np.array_equal(new_clients[k].local_model.values, expected.values)
-        for k in (1, 3):
-            assert new_clients[k] is clients[k]
-        assert np.array_equal(new_server.global_model.values, server.global_model.values)
-        np.testing.assert_array_equal(new_server.weights, server.weights)
-        assert new_server.round == 1
 
 
 @pytest.fixture

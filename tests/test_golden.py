@@ -4,11 +4,10 @@ A refactor or speed-up must leave every digest here unchanged.  A change
 that alters numerics on purpose updates the pins and says why.
 
 ``report_long.csv`` is what ``focusfl report`` writes from a run dir; it is
-pinned for the usc-noisy pair and the three mixed runs.  ``mixed/focus``
+pinned for the usc-noisy pair and the two mixed runs.  ``mixed/focus``
 covers clients that sat rounds out; the others have no client weights.
 The message log is pinned too, as the sha256 of ``repr(result.messages)``:
-``mixed/fedavg`` covers partial-participation FedAvg and
-``mixed/local_baseline`` the empty log.
+``mixed/fedavg`` covers partial-participation FedAvg.
 """
 
 import hashlib
@@ -86,12 +85,6 @@ PINS = {
         "model.bin": "be30f85e2252a8ae32253dc10938cd97710bf28b1deac8fe0c3d241120b13f0b",
         "report_long.csv": "2b1c7f832ad3baa72b7763709aef90b4b4a7b98fc9d8698f445a60f3ee4332f9",
     },
-    "mixed/local_baseline": {
-        "metrics.csv": "4515bf53906805a817d17517cdd93a91cfb4a7ea82a299e4a52dc7ae66c5fd10",
-        "credibility.csv": None,
-        "model.bin": None,
-        "report_long.csv": "dca7f6b294ff3d3cf98dd1c1a42e769b98d2e3c16161ed872eba492e22d8bdd8",
-    },
 }
 
 # case -> sha256 of repr(result.messages)
@@ -103,7 +96,6 @@ MESSAGE_LOG_PINS = {
     "multi-tier/focus": "d286f94e9f4f753412c35d2fc1875ec9720d44a144f3577a8d65944e5f3eef26",
     "mixed/focus": "ece93f17c87050e7f03d848180c892809b4d756c3584384fae64b046c9574ec6",
     "mixed/fedavg": "e9c972ba7b38b18e7d5528730bbe7e57ebbbca3e4f955127e577a4fc20948525",
-    "mixed/local_baseline": "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
 }
 
 
@@ -112,7 +104,7 @@ CASES = {
     for scenario in ("usc-noisy", "usc-normal", "multi-tier")
     for cfg in _scenario_runs(scenario)
 }
-CASES.update({f"mixed/{agg}": replace(MIXED, aggregator=agg) for agg in ("focus", "fedavg", "local_baseline")})
+CASES.update({f"mixed/{agg}": replace(MIXED, aggregator=agg) for agg in ("focus", "fedavg")})
 
 
 def _message_log_digest(result):

@@ -35,6 +35,7 @@ from focusfl.harness import (
     run,
     write_run_result,
 )
+from focusfl.learner import ArchSpec, init_params
 
 # A deliberately small scenario so harness tests stay fast.  240 rows split
 # into a 60-row test set, a 36-row benchmark, and four 36-row client shards.
@@ -59,6 +60,8 @@ class TestExperimentConfig:
     def test_bad_values_surface_as_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(aggregator="median")
+        with pytest.raises(ConfigurationError, match=r"one of \('focus', 'fedavg'\), got 'local_baseline'"):
+            ExperimentConfig(aggregator="local_baseline")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(rounds=0)
         with pytest.raises(ConfigurationError):
@@ -256,6 +259,7 @@ class TestBuildScenario:
             with pytest.raises(ConfigurationError, match=f"cannot read dataset_file {path}") as excinfo:
                 call(cfg)
             assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+            assert str(excinfo.value).count(str(path)) == 1, call.__name__
 
     def test_malformed_dataset_file_is_a_configuration_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -333,15 +337,6 @@ class TestRun:
             assert all(r.scalar_count == 0 for r in records)
         assert len(set(rounds.values())) > 1  # the draw varies by round
 
-    def test_local_baseline_never_communicates(self):
-        result = run(fast_config(aggregator="local_baseline"))
-        assert all(m.participants == (0, 1, 2, 3) for m in result.metrics)
-        assert result.messages == ()
-        assert result.messages_per_round == 0.0
-        assert result.final_model is None
-        assert result.final_weights is None
-        assert all(m.cred is None for m in result.metrics)
-
     def test_fl_training_loss_averages_local_models_on_own_shards(self):
         cfg = fast_config(rounds=1)
         result = run(cfg)
@@ -379,16 +374,6 @@ class TestRun:
             assert len(m.cred.client_ids) == 2
         np.testing.assert_allclose(sum(result.final_weights), 1.0, atol=1e-9)
 
-    def test_local_baseline_trains_every_client_whatever_the_participation(self):
-        """Characterizes ``local_baseline``: it never communicates, so it
-        trains every client each round and ignores ``participation_fraction``."""
-        full, half = (
-            run(fast_config(aggregator="local_baseline", participation_fraction=p)) for p in (1.0, 0.5)
-        )
-        assert [(m.test_accuracy, m.fl_loss) for m in half.metrics] == [
-            (m.test_accuracy, m.fl_loss) for m in full.metrics
-        ]
-
     def test_round_failure_carries_partial_metrics(self):
         with pytest.raises(RoundError) as excinfo:
             run(fast_config(learning_rate=1e308, hidden_dims=(), rounds=3))
@@ -408,7 +393,7 @@ class TestRun:
         assert excinfo.value.partial_metrics == ()
         assert isinstance(excinfo.value.__cause__, DegenerateCredibilityError)
 
-    def test_local_baseline_failure_carries_round_and_partial_metrics(self, monkeypatch):
+    def test_training_divergence_in_round_2_carries_round_1_metrics(self, monkeypatch):
         """Four clients train per round, so the sixth update falls in round 2."""
         real_update, calls = harness.learner.client_update, []
 
@@ -420,7 +405,7 @@ class TestRun:
 
         monkeypatch.setattr(harness.learner, "client_update", diverge_on_sixth)
         with pytest.raises(RoundError, match="round 2 failed") as excinfo:
-            run(fast_config(aggregator="local_baseline"))
+            run(fast_config(aggregator="fedavg"))
         assert excinfo.value.round_index == 2
         assert [m.round for m in excinfo.value.partial_metrics] == [1]
         assert isinstance(excinfo.value.__cause__, TrainingDivergenceError)
@@ -453,7 +438,7 @@ class TestCompare:
         cfg_a, cfg_b = fast_config(noise=noise), fast_config(aggregator="fedavg", noise=noise)
         report = compare(cfg_a, cfg_b)
         assert (report.result_a.config, report.result_b.config) == (cfg_a, cfg_b)
-        assert report.result_a.final_weights is not None
+        assert report.result_a.final_weights != report.result_b.final_weights
         assert report.result_b.final_weights == (0.25, 0.25, 0.25, 0.25)
 
     def test_same_aggregator_with_different_noise_is_accepted_in_order(self):
@@ -519,12 +504,11 @@ class TestRunOutput:
         assert (out / "metrics.csv").exists()
 
     def test_rewrite_replaces_the_whole_run_dir(self, tmp_path, capsys):
-        """A baseline written over a focus run keeps none of its files."""
+        """A fedavg run written over a focus run keeps none of its files."""
         out = tmp_path / "rundir"
         write_run_result(run(fast_config()), out)
-        write_run_result(run(fast_config(aggregator="local_baseline")), out)
+        write_run_result(run(fast_config(aggregator="fedavg")), out)
         assert not (out / "credibility.csv").exists()
-        assert not (out / "model.bin").exists()
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         assert "w_client" not in capsys.readouterr().out
@@ -572,8 +556,8 @@ def _write_cred_report(run_dir, round_index, report):
     result = RunResult(
         config=ExperimentConfig(),
         metrics=(RoundMetrics(round_index, 0.5, 1.0, report),),
-        final_model=None,
-        final_weights=None,
+        final_model=init_params(ArchSpec(8, (64,), 4), seed=0),
+        final_weights=(1.0,),
         duration_seconds=0.0,
     )
     write_run_result(result, run_dir)

@@ -39,24 +39,23 @@ def protocol(cfg: ExperimentConfig) -> tuple:
     sgd = cfg.sgd_config(seeds["sgd"])
     draw = np.random.default_rng(seeds["participation"])
     data = [c.data for c in clients]
-    K, focus, federated = len(data), cfg.aggregator == "focus", cfg.aggregator != "local_baseline"
+    K, focus = len(data), cfg.aggregator == "focus"
     n = np.array([d.n for d in data], dtype=np.float64)
     w = n / n.sum()
     g = server.global_model
     local = [g] * K
-    size = max(1, int(round(cfg.participation_fraction * K))) if federated else K
+    size = max(1, int(round(cfg.participation_fraction * K)))
     rounds, creds, messages = [], [], []
     for t in range(1, cfg.rounds + 1):
-        part = sorted(draw.choice(K, size=size, replace=False).tolist()) if federated else list(range(K))
-        new = [client_update(g if federated else local[k], data[k], sgd) for k in part]
+        part = sorted(draw.choice(K, size=size, replace=False).tolist())
+        new = [client_update(g, data[k], sgd) for k in part]
         for k, m in zip(part, new):
             local[k] = m
-        if federated:
-            mass = 1.0 if len(part) == K else float(w[part].sum())
-            a = w[part] / mass if focus else n[part] / n[part].sum()
-            g = ModelParams(g.arch, functools.reduce(np.add, [a_j * m.values for a_j, m in zip(a, new)]))
-            for way, scalars in (("down", 0), ("up", int(focus))):
-                messages += [MessageRecord(t, way, k, g.arch.parameter_count(), scalars) for k in part]
+        mass = 1.0 if len(part) == K else float(w[part].sum())
+        a = w[part] / mass if focus else n[part] / n[part].sum()
+        g = ModelParams(g.arch, functools.reduce(np.add, [a_j * m.values for a_j, m in zip(a, new)]))
+        for way, scalars in (("down", 0), ("up", int(focus))):
+            messages += [MessageRecord(t, way, k, g.arch.parameter_count(), scalars) for k in part]
         if focus:
             ls = np.array([model_test(m, server.benchmark, cfg.reduction) for m in new])
             ll = np.array([model_test(g, data[k], cfg.reduction) for k in part])
@@ -68,23 +67,23 @@ def protocol(cfg: ExperimentConfig) -> tuple:
             w = w.copy()
             w[part] = nc / nc.sum() * mass
             cred = (tuple(part), *(x.tobytes() for x in (ls, ll, e, c, w[part])))
-        acc = float(np.mean([accuracy(m, test) for m in ([g] if federated else local)]))
+        acc = accuracy(g, test)
         fl_loss = float(np.mean([model_test(m, d, "mean") for m, d in zip(local, data)]))
         rounds.append((t, acc, fl_loss, tuple(part)))
         creds.append(cred if focus else None)
-    final = (tuple(w.tolist()), g.values.tobytes()) if federated else (None, None)
+    final = tuple(w.tolist()), g.values.tobytes()
     return rounds, creds, tuple(messages), len(messages) / cfg.rounds, rounds[-1][1], *final
 
 
 def observed(result) -> tuple:
     """``run``'s outputs in the form :func:`protocol` gives them, arrays as bytes."""
-    metrics, model = result.metrics, result.final_model
+    metrics = result.metrics
     rounds = [(m.round, m.test_accuracy, m.fl_loss, m.participants) for m in metrics]
     creds = [
         None if m.cred is None else (m.cred.client_ids, *(getattr(m.cred, x).tobytes() for x in "ls ll e c w".split()))
         for m in metrics
     ]
-    final = result.final_weights, None if model is None else model.values.tobytes()
+    final = result.final_weights, result.final_model.values.tobytes()
     return rounds, creds, result.messages, result.messages_per_round, result.final_accuracy, *final
 
 
@@ -119,8 +118,6 @@ def configs(draw):
 @example(small(num_clients=6, rounds=4, participation_fraction=0.4, noise=(NoiseSpec("randomize", 1.0, (2,)),)))
 @example(small(num_clients=4, rounds=2, aggregator="fedavg", batch_size=4))
 @example(small(num_clients=5, rounds=3, aggregator="fedavg", participation_fraction=0.4))
-@example(small(num_clients=3, rounds=2, aggregator="local_baseline"))
-@example(small(num_clients=3, rounds=2, aggregator="local_baseline", participation_fraction=0.4))
 @given(configs())
 def test_run_equals_the_protocol_bit_for_bit(cfg):
     assert observed(run(cfg)) == protocol(cfg)

@@ -233,17 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate credibility-weighted federated learning experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", required=True, help="output root; a run lands in <out>/<config-hash>/")
+    writes.add_argument("--force", action="store_true", help="overwrite an existing completed run")
 
-    p_run = sub.add_parser("run", help="run one experiment from a config file")
+    p_run = sub.add_parser("run", parents=[writes], help="run one experiment from a config file")
     p_run.add_argument("--config", required=True, help="flat key=value config file")
-    p_run.add_argument("--out", required=True, help="output root; the run lands in <out>/<config-hash>/")
-    p_run.add_argument("--force", action="store_true", help="overwrite an existing completed run")
     p_run.set_defaults(func=cmd_run)
 
-    p_repro = sub.add_parser("repro", help="rerun a canned comparison scenario")
+    p_repro = sub.add_parser("repro", parents=[writes], help="rerun a canned comparison scenario")
     p_repro.add_argument("scenario", choices=_SCENARIOS)
-    p_repro.add_argument("--out", required=True)
-    p_repro.add_argument("--force", action="store_true")
     p_repro.set_defaults(func=cmd_repro)
 
     p_report = sub.add_parser("report", help="print tables for a finished run")

@@ -15,7 +15,7 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, as_int, as_items, as_positive, as_real, frozen_f64
+from .errors import ConfigurationError, InvalidInputError, as_int, as_items, as_path, as_positive, as_real, frozen_f64
 
 # Magic prefix of the binary dataset container (version 1).
 DATASET_MAGIC = b"FOCUSDS1"
@@ -329,7 +329,7 @@ def write_csv(path, header: str, rows) -> None:
     """
     types = [_CSV_COLUMN_TYPES.get(name, float) for name in header.split(",")]
     lines = [header, *(",".join(str(kind(v)) for kind, v in zip(types, row)) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(as_path("path", path)).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_csv(path, header: str) -> List[tuple]:
@@ -345,7 +345,7 @@ def read_csv(path, header: str) -> List[tuple]:
 
 def _read_csv_lines(path, header: Optional[str]) -> Iterator:
     """Yield the header line, then the typed rows one at a time."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(as_path("path", path), "r", encoding="utf-8") as fh:
         lines = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip())
         _, first = next(lines, (0, ""))
         if header is not None and first != header:
@@ -401,16 +401,19 @@ def save_binary(d: Dataset, path: str) -> None:
     Layout, all little-endian: magic, u32 row count, u32 feature dim,
     u32 class count, row-major float64 features, then u32 labels.
     """
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<III", d.n, d.dim, d.num_classes))
-        fh.write(np.ascontiguousarray(d.features, dtype="<f8").tobytes())
-        fh.write(d.labels.astype("<u4").tobytes())
+    # Built before the file is opened, so a bad ``d`` leaves no file behind.
+    parts = (
+        DATASET_MAGIC + struct.pack("<III", d.n, d.dim, d.num_classes),
+        np.ascontiguousarray(d.features, dtype="<f8").tobytes(),
+        d.labels.astype("<u4").tobytes(),
+    )
+    with open(as_path("path", path), "wb") as fh:
+        fh.writelines(parts)
 
 
 def load_binary(path: str) -> Dataset:
     """Read a dataset written by :func:`save_binary`."""
-    with open(path, "rb") as fh:
+    with open(as_path("path", path), "rb") as fh:
         blob = fh.read()
     if len(blob) < len(DATASET_MAGIC) + 12:
         raise InvalidInputError(f"{path}: truncated dataset file")

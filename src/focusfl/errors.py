@@ -8,6 +8,7 @@ naming the field.
 
 import math
 import numbers
+import os
 from collections.abc import Mapping
 
 import numpy as np
@@ -105,6 +106,16 @@ def as_str(name: str, value) -> str:
     if isinstance(value, str):
         return value
     raise InvalidInputError(f"{name} must be a string, got {value!r}")
+
+
+def as_path(name: str, value):
+    """``value``, which must be a ``str``, ``bytes`` or ``os.PathLike`` file name.
+
+    ``open`` would take an integer as a file descriptor, and close it.
+    """
+    if isinstance(value, (str, bytes, os.PathLike)):
+        return value
+    raise InvalidInputError(f"{name} must be a file path, got {value!r}")
 
 
 def as_items(name: str, value, item) -> tuple:

@@ -33,7 +33,7 @@ import numpy as np
 from . import learner
 from .data import Dataset
 from .errors import DegenerateCredibilityError, InvalidInputError, RoundError, TrainingDivergenceError
-from .errors import as_bool, as_int, as_items, as_positive, frozen_f64
+from .errors import as_bool, as_int, as_items, as_path, as_positive, frozen_f64
 from .learner import ArchSpec, ModelParams, SgdConfig
 
 # Magic prefix of the binary model checkpoint container (version 1).
@@ -298,32 +298,6 @@ def aggregate(models: Sequence[ModelParams], w) -> ModelParams:
     return ModelParams(arch, (w[:, None] * stacked).sum(axis=0))
 
 
-def init_server(
-    global_model: ModelParams,
-    benchmark: Dataset,
-    clients: Sequence[ClientState],
-    alpha: float = 1.0,
-    reduction: str = "mean",
-    standardize_e: bool = True,
-) -> ServerState:
-    """Server state before round 1.
-
-    Initial weights are sample-proportional (``n_k / sum n``) since no
-    scoring has happened yet.
-    """
-    if not clients:
-        raise InvalidInputError("at least one client is required")
-    n = np.array([c.n_k for c in clients], dtype=np.float64)
-    return ServerState(
-        global_model=global_model,
-        benchmark=benchmark,
-        weights=n / n.sum(),
-        alpha=alpha,
-        reduction=reduction,
-        standardize_e=standardize_e,
-    )
-
-
 def _check_round_args(
     server: ServerState, clients: Sequence[ClientState], participants: Optional[Sequence[int]]
 ) -> Tuple[int, ...]:
@@ -384,17 +358,17 @@ def _lane(work, count: int, n: int, i: int):
     return outputs, None
 
 
-def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdConfig) -> List[ModelParams]:
-    """``learner.client_update`` of every ``(start, shard)`` pair, on lanes of :func:`fan_out`.
+def _train(m0: ModelParams, shards: Sequence[Dataset], sgd: SgdConfig) -> List[ModelParams]:
+    """``learner.client_update`` from ``m0`` on every shard, on lanes of :func:`fan_out`.
 
     When rows per step on the smallest shard times the widest layer reaches
-    :data:`LANE_MIN_WORK`, there is one lane per pair and per core of the
+    :data:`LANE_MIN_WORK`, there is one lane per shard and per core of the
     ``_CORES`` budget; otherwise one.  The lanes other than this thread run
     on a thread pool that lives for this call.
     """
-    arch = starts[0].arch
+    arch = m0.arch
     step_work = min(learner.step_rows(sgd, d.n) for d in shards) * max(arch.layer_dims)
-    lanes = min(_CORES.get(), len(starts)) if step_work >= LANE_MIN_WORK else 1
+    lanes = min(_CORES.get(), len(shards)) if step_work >= LANE_MIN_WORK else 1
     # This thread allocates every lane's buffers: a pool thread's own
     # allocations would open a second malloc arena and raise peak RSS.
     scratch = [
@@ -403,14 +377,14 @@ def _train(starts: Sequence[ModelParams], shards: Sequence[Dataset], sgd: SgdCon
 
     def work(i: int, j: int) -> ModelParams:
         # Through the module attribute, so that a wrapper around client_update sees every call.
-        return learner.client_update(starts[j], shards[j], sgd, scratch[i])
+        return learner.client_update(m0, shards[j], sgd, scratch[i])
 
     pool = None
     if lanes > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(lanes - 1)
-    return fan_out(work, len(starts), lanes, pool)
+    return fan_out(work, len(shards), lanes, pool)
 
 
 def _round(
@@ -428,7 +402,7 @@ def _round(
     weights, report = server.weights, None
     shards = [clients[k].data for k in part]
     try:
-        local_models = _train([server.global_model] * len(part), shards, sgd)
+        local_models = _train(server.global_model, shards, sgd)
         if aggregator == "focus":
             # Full participation uses the stored weights exactly; otherwise the
             # participants' stored mass is spread over them for aggregation.
@@ -518,14 +492,14 @@ def save_model(m: ModelParams, path: str) -> None:
     """
     arch = m.arch
     header = (arch.input_dim, len(arch.hidden_dims), *arch.hidden_dims, arch.num_classes)
-    with open(path, "wb") as fh:
+    with open(as_path("path", path), "wb") as fh:
         fh.write(MODEL_MAGIC + struct.pack(f"<{len(header)}I", *header))
         fh.write(m.values.astype("<f8").tobytes())
 
 
 def load_model(path: str) -> ModelParams:
     """Read a checkpoint written by :func:`save_model`."""
-    with open(path, "rb") as fh:
+    with open(as_path("path", path), "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MODEL_MAGIC) + 12 or blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise InvalidInputError(f"{path}: not a model checkpoint (bad magic or truncated)")

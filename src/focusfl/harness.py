@@ -48,7 +48,6 @@ from .federation import (
     ServerState,
     fedavg_round,
     focus_round,
-    init_server,
 )
 from .learner import ArchSpec, ModelParams, SgdConfig
 
@@ -249,7 +248,8 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     """Materialize (server, clients, test set) for a config.
 
     Applies, in order: data synthesis or load, partitioning, label noise on
-    the targeted client shards, model init, server init.  Noise seeds are
+    the targeted client shards, model init, and the server, with
+    sample-proportional initial weights.  Noise seeds are
     decorrelated per client so one spec aimed at several clients does not
     reuse one random stream.
     """
@@ -279,10 +279,11 @@ def build_scenario(cfg: ExperimentConfig) -> Tuple[ServerState, Tuple[ClientStat
     clients = tuple(
         ClientState(id=k, data=shard, local_model=global0) for k, shard in enumerate(shards)
     )
-    server = init_server(
-        global0,
-        bench,
-        clients,
+    n = np.array([shard.n for shard in shards], dtype=np.float64)
+    server = ServerState(
+        global_model=global0,
+        benchmark=bench,
+        weights=n / n.sum(),
         alpha=cfg.alpha,
         reduction=cfg.reduction,
         standardize_e=cfg.standardize_e,

@@ -298,10 +298,9 @@ class TestAcceptance:
     def test_09_multi_tier_weight_ordering(self, capsys, battery):
         record(capsys, *battery_gate(9, battery))
 
-    def test_10_byte_identical_reruns(self, capsys, tmp_path, monkeypatch):
+    def test_10_byte_identical_reruns(self, capsys, tmp_path):
         """Running the CLI twice on one config yields byte-identical
         metrics.csv and credibility.csv."""
-        monkeypatch.delenv("FOCUS_SEED", raising=False)
         config = tmp_path / "exp.cfg"
         config.write_text(
             "aggregator = focus\n"

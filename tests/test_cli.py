@@ -151,8 +151,7 @@ class TestCmdRun:
         assert (run_dir / "model.bin").exists()
         assert "final accuracy" in capsys.readouterr().out
 
-    def test_stdout_is_pinned(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("FOCUS_SEED", raising=False)
+    def test_stdout_is_pinned(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 0
         assert capsys.readouterr().out.replace(str(out), "<out>") == (
@@ -362,8 +361,7 @@ class TestCmdRepro:
         payload = json.loads((run_dirs[0] / "result.json").read_text())
         assert payload["config"]["num_clients"] == 3
 
-    def test_usc_noisy_stdout_is_pinned(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("FOCUS_SEED", raising=False)
+    def test_usc_noisy_stdout_is_pinned(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["repro", "usc-noisy", "--out", str(out)]) == 0
         assert capsys.readouterr().out.replace(str(out), "<out>") == (
@@ -375,9 +373,8 @@ class TestCmdRepro:
             "final accuracy delta (focus - fedavg): +0.0550\n"
         )
 
-    def test_existing_run_dir_refuses_before_running_anything(self, tmp_path, monkeypatch, capsys):
+    def test_existing_run_dir_refuses_before_running_anything(self, tmp_path, capsys):
         """A pair whose second run dir exists writes neither run."""
-        monkeypatch.delenv("FOCUS_SEED", raising=False)
         out = tmp_path / "out"
         focus_cfg, fedavg_cfg = _scenario_runs("usc-normal")
         fedavg_dir = out / harness.config_hash(fedavg_cfg)
@@ -387,6 +384,14 @@ class TestCmdRepro:
         assert "--force" in capsys.readouterr().err
         assert not (out / harness.config_hash(focus_cfg)).exists()
         assert sorted(out.iterdir()) == [fedavg_dir]
+
+    def test_help_explains_out_and_force(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["repro", "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "a run lands in <out>/<config-hash>/" in text
+        assert "--force overwrite an existing completed run" in text
 
     def test_unknown_scenario_is_an_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,7 @@
 """Unit tests for dataset synthesis, partitioning, noise, and file formats."""
 
+import contextlib
+import os
 import re
 import struct
 
@@ -20,6 +22,7 @@ from focusfl.data import (
     synth_blobs,
 )
 from focusfl.errors import ConfigurationError, InvalidInputError
+from focusfl.federation import load_model
 from focusfl.learner import ArchSpec, SgdConfig, accuracy, client_update, init_params
 
 
@@ -320,6 +323,31 @@ class TestValueRules:
     def test_non_reals_are_rejected_by_name(self, name, make):
         with pytest.raises(InvalidInputError, match=f"{name} must be"):
             make()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, w: load_csv(r),
+            lambda r, w: load_binary(r),
+            lambda r, w: load_model(r),
+            lambda r, w: save_csv(Dataset(np.ones((1, 2)), [0], 2), w),
+            lambda r, w: save_binary(Dataset(np.ones((1, 2)), [0], 2), w),
+        ],
+        ids=["load_csv", "load_binary", "load_model", "save_csv", "save_binary"],
+    )
+    def test_codecs_refuse_a_file_descriptor(self, call):
+        """``open`` would take an int path as a descriptor and close it on exit."""
+        r, w = os.pipe()
+        os.set_blocking(r, False)  # a loader that reads the pipe fails instead of waiting
+        try:
+            with pytest.raises(InvalidInputError, match="path must be a file path"):
+                call(r, w)
+            os.fstat(r)
+            os.fstat(w)
+        finally:
+            for fd in (r, w):
+                with contextlib.suppress(OSError):
+                    os.close(fd)
 
     def test_fractions_are_stored_as_float(self):
         plan = PartitionPlan(2, np.float32(0.25), np.float32(0.5))

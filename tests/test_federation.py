@@ -24,7 +24,6 @@ from focusfl.federation import (
     credibilities,
     fedavg_round,
     focus_round,
-    init_server,
     load_model,
     model_test,
     save_model,
@@ -48,7 +47,7 @@ def random_dataset(rng, arch, n):
     )
 
 
-def tiny_federation(seed=0, k=3, arch=ArchSpec(3, (), 3), n_per_client=24, **server_kw):
+def tiny_federation(seed=0, k=3, arch=ArchSpec(3, (), 3), n_per_client=24):
     """A small ready-to-run federation on random (not separable) data.
 
     ``n_per_client`` is one shard size for every client, or a tuple of ``k``.
@@ -61,8 +60,8 @@ def tiny_federation(seed=0, k=3, arch=ArchSpec(3, (), 3), n_per_client=24, **ser
         ClientState(id=i, data=random_dataset(rng, arch, sizes[i]), local_model=global0)
         for i in range(k)
     )
-    server = init_server(global0, bench, clients, **server_kw)
-    return server, clients
+    n = np.array(sizes, dtype=np.float64)
+    return ServerState(global0, bench, n / n.sum()), clients
 
 
 # The checks of TestFocusRound that hold for every round function loop over these.
@@ -350,12 +349,6 @@ class TestStateValidation:
         after, _, _ = focus_round(replace(server, round=2.0), clients, SgdConfig(0.1, 1))
         assert type(after.round) is int
         assert type(replace(clients[0], id=1.0).id) is int
-
-    def test_init_server_uses_sample_proportions(self):
-        server, clients = tiny_federation(k=4)
-        n = np.array([c.n_k for c in clients], dtype=float)
-        np.testing.assert_array_equal(server.weights, n / n.sum())
-        assert server.round == 0
 
     def test_cred_report_rejects_nonfinite_scores(self):
         half = np.array([0.5, 0.5])

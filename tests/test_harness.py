@@ -197,6 +197,14 @@ class TestBuildScenario:
         assert server.benchmark.n == 200
         assert [c.n_k for c in clients] == [200, 200, 200, 200]
 
+    def test_initial_weights_are_the_sample_proportions(self):
+        cfg = fast_config(num_clients=3, client_proportions=(0.5, 0.3, 0.2))
+        server, clients, _ = build_scenario(cfg)
+        n = np.array([c.data.n for c in clients], dtype=np.float64)
+        assert len(set(n)) == 3
+        assert server.weights.tobytes() == (n / n.sum()).tobytes()
+        assert server.round == 0
+
     def test_same_master_seed_gives_identical_data_across_aggregators(self):
         """Paired comparisons rely on the aggregator leaving data, init, and
         batching untouched."""

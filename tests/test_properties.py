@@ -15,13 +15,13 @@ from focusfl.errors import ConfigurationError, InvalidInputError
 from focusfl.federation import (
     LANE_MIN_WORK,
     ClientState,
+    ServerState,
     _scores,
     aggregate,
     aggregation_weights,
     credibilities,
     fedavg_round,
     focus_round,
-    init_server,
     load_model,
     model_test,
     save_model,
@@ -111,7 +111,8 @@ def _federation(seed, k):
     clients = tuple(
         ClientState(id=i, data=dataset(int(rng.integers(5, 40))), local_model=global0) for i in range(k)
     )
-    return init_server(global0, dataset(20), clients), clients
+    n = np.array([c.n_k for c in clients], dtype=np.float64)
+    return ServerState(global0, dataset(20), n / n.sum()), clients
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
